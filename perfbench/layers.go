@@ -31,6 +31,8 @@ var perLayer = func() map[string]string {
 		"solve.covered_share":          "ratio",
 		"server.admission_ms":          "ms",
 		"journal.accept_ms":            "ms",
+		"journal.fsync_ms":             "ms",
+		"journal.fsyncs_per_miss":      "count",
 		"queue.enqueue_ms":             "ms",
 		"queue.wait_ms":                "ms",
 		"store.get_ms":                 "ms",

@@ -39,8 +39,6 @@ type config struct {
 	trace    bool
 	// tiny shrinks every workload to a few small solves (the self-test).
 	tiny bool
-	// rate overrides serve-mix's offered load (requests/s); 0 keeps it.
-	rate float64
 }
 
 // metric is one reported number with its unit.
@@ -85,7 +83,7 @@ var workloads = []workload{
 	{"kecss-cuts", func(c config) (env, error) { return newLibEnv(kecssCuts(c.tiny), c.seed, c.seconds) }},
 	{"3ecss-label", func(c config) (env, error) { return newLibEnv(threeLabel(c.tiny), c.seed, c.seconds) }},
 	{"2ecss-congest", func(c config) (env, error) { return newLibEnv(twoCongest(c.tiny), c.seed, c.seconds) }},
-	{"serve-mix", func(c config) (env, error) { return newServeEnv(serveMix(c), c.seed, c.seconds) }},
+	{"serve-mix", func(c config) (env, error) { return newServeEnv(serveMix(c.tiny), c.seed, c.seconds) }},
 }
 
 func main() {
@@ -104,7 +102,6 @@ func run(args []string, stdout io.Writer) error {
 	fs.Float64Var(&cfg.seconds, "seconds", 15, "length of the measured window")
 	fs.IntVar(&trace, "trace", 0, "1 = traced run printing the per-layer metrics")
 	fs.BoolVar(&cfg.tiny, "tiny", false, "shrink every workload to a few small solves (self-test)")
-	fs.Float64Var(&cfg.rate, "rate", 0, "serve-mix offered load in requests/s (0 = the workload's fixed rate; for capacity probes)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -251,8 +248,25 @@ func percentile(xs []float64, p float64) float64 {
 
 func median(xs []float64) float64 { return percentile(xs, 0.5) }
 
+// trimmedMean is the mean of xs without its lowest and highest value.
+// serve-mix's per-window statistics are combined with it: one stalled
+// window is dropped, and averaging the rest gave about half the
+// seed-to-seed spread of their median.
+func trimmedMean(xs []float64) float64 {
+	if len(xs) < 3 {
+		return median(xs)
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	var sum float64
+	for _, x := range s[1 : len(s)-1] {
+		sum += x
+	}
+	return sum / float64(len(s)-2)
+}
+
 // windows is how many equal time windows a measured run is split into.
-const windows = 5
+const windows = 7
 
 // windowsOf splits items into windows equal slices of [0, span) by their
 // offset; offsets at or past span land in the last window.

@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,7 +46,7 @@ type serveSpec struct {
 	traceJobs int
 }
 
-func serveMix(c config) serveSpec {
+func serveMix(tiny bool) serveSpec {
 	s := serveSpec{
 		families: []scenario.Scenario{
 			{Name: "harary-2ecss", Family: "harary", N: 96, K: 2, MaxW: 40, Solver: "2ecss", Trials: 2},
@@ -58,17 +60,15 @@ func serveMix(c config) serveSpec {
 		hitAge:    500 * time.Millisecond,
 		traceJobs: 400,
 	}
-	if c.tiny {
+	if tiny {
 		s.instances, s.rate, s.warm, s.traceJobs = 1, 40, 8, 8
-	}
-	if c.rate > 0 {
-		s.rate = c.rate
 	}
 	return s
 }
 
-// serveRate is the offered load in requests/s: 80 misses/s keep the one
-// connection that sends misses about a fifth busy (see WORKLOADS.md).
+// serveRate is the offered load in requests/s: 80 misses/s, at about
+// 3.5 ms each with the journal on disk, keep the one connection that sends
+// misses about a third busy (see WORKLOADS.md).
 const serveRate = 160
 
 // expected is the direct in-process solve of one distinct request.
@@ -90,6 +90,7 @@ type serveEnv struct {
 	required []int
 	// hitTarget[h] is the body the h-th hit repeats.
 	hitTarget []int
+	dir       string // holds the job journal
 	srv       *server.Server
 	hs        *http.Server
 	served    chan error
@@ -258,25 +259,41 @@ func (e *serveEnv) solveDirect() error {
 	return errors.Join(errs...)
 }
 
-// start opens the server and serves it on loopback. The journal and the
-// result store stay in memory: on a shared virtual disk, fsync latency
-// swings enough between runs to drown any change in the serving code (see
-// WORKLOADS.md).
+// scratchRoot holds the serving workload's job journal, one fresh
+// directory per set-up, relative to the directory the benchmark runs in.
+var scratchRoot = filepath.Join(".bench_build", "serve")
+
+// start opens the server, with its job journal on disk in a fresh
+// directory, and serves it on loopback. The result store stays in memory:
+// an on-disk store adds a file and a directory fsync to every miss, and on
+// a shared virtual disk those swing miss latency between runs by more than
+// any bound the benchmark may set (see WORKLOADS.md).
 func (e *serveEnv) start() error {
+	if err := os.MkdirAll(scratchRoot, 0o755); err != nil {
+		return err
+	}
+	dir, err := os.MkdirTemp(scratchRoot, "run-")
+	if err != nil {
+		return err
+	}
 	srv, err := server.New(server.Config{
-		Workers: callers(),
+		Workers:     callers(),
+		JournalPath: filepath.Join(dir, "journal.log"),
 		// Keep every finished trace, so a traced run can fetch its
 		// sampled jobs after the load ends.
 		TraceRecent: 1 << 14,
 	})
 	if err != nil {
+		os.RemoveAll(dir)
 		return err
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		srv.Close()
+		os.RemoveAll(dir)
 		return err
 	}
+	e.dir = dir
 	e.srv = srv
 	e.base = "http://" + ln.Addr().String()
 	e.hs = &http.Server{Handler: srv.Handler()}
@@ -290,7 +307,8 @@ func (e *serveEnv) start() error {
 }
 
 // close stops the HTTP server, waits for its serve loop to return, and
-// closes the server's agent and queue.
+// closes the server's agent, queue and journal, then removes the journal's
+// directory.
 func (e *serveEnv) close() {
 	if e.hs == nil {
 		return
@@ -303,6 +321,7 @@ func (e *serveEnv) close() {
 	}
 	<-e.served
 	e.srv.Close()
+	os.RemoveAll(e.dir)
 	e.hs = nil
 }
 
@@ -383,8 +402,11 @@ func (e *serveEnv) load(from, to int) ([]sample, time.Duration) {
 // loadStats summarises one stretch of the open loop.
 type loadStats struct {
 	missLat, hitLat, solveMS, late []float64
-	failed, throttled, hitsServed  int64
-	lines                          []wire.ResultLine
+	// missBusy is the summed round trip of the misses, in seconds: how
+	// long the connection that sends them was busy.
+	missBusy                      float64
+	failed, throttled, hitsServed int64
+	lines                         []wire.ResultLine
 }
 
 func summarise(samples []sample) loadStats {
@@ -400,6 +422,7 @@ func summarise(samples []sample) loadStats {
 		}
 		if s.miss {
 			st.missLat = append(st.missLat, ms(s.fromDue))
+			st.missBusy += s.rtt.Seconds()
 			st.solveMS = append(st.solveMS, s.solveMS)
 			st.lines = append(st.lines, wire.ResultLine{Task: s.body, Edges: s.resp.Edges, Weight: s.resp.Weight, Rounds: s.resp.Rounds})
 		} else {
@@ -427,12 +450,14 @@ func (e *serveEnv) measure() *outcome {
 	samples, elapsed := e.load(0, n)
 	allocMB := meter.mbPerOp(int64(n))
 	st := summarise(samples)
-	// Each latency is the median over equal windows of the schedule, so a
-	// transient stall on the machine moves one window, not the result.
-	var missP50, missP90, hitP50, hitP90, solveP50, solveP90 []float64
+	// Each statistic is the trimmed mean over equal windows of the
+	// schedule, so a transient stall on the machine moves one dropped
+	// window, not the result.
+	var capacity, missP50, missP90, hitP50, hitP90, solveP50, solveP90 []float64
 	span := time.Duration(n)
 	for _, w := range windowsOf(samples, func(s sample) time.Duration { return time.Duration(s.seq) }, span) {
 		ws := summarise(w)
+		capacity = append(capacity, float64(len(ws.missLat))/max(ws.missBusy, 1e-9))
 		missP50 = append(missP50, percentile(ws.missLat, 0.5))
 		missP90 = append(missP90, percentile(ws.missLat, 0.9))
 		hitP50 = append(hitP50, percentile(ws.hitLat, 0.5))
@@ -447,15 +472,19 @@ func (e *serveEnv) measure() *outcome {
 		notes: []string{fmt.Sprintf("open loop at %.0f req/s for %.2fs from %d connections: %d misses, %d hits, generator late p99 %.3fms",
 			e.spec.rate, elapsed.Seconds(), callers(), len(st.missLat), len(st.hitLat), percentile(st.late, 0.99))},
 		metrics: map[string]metric{
-			"solves_per_s":    {float64(len(st.missLat)) / elapsed.Seconds(), "1/s"},
-			"solve_p50_ms":    {median(solveP50), "ms"},
-			"solve_p90_ms":    {median(solveP90), "ms"},
+			// The offered miss rate is fixed, so completed misses per
+			// second would only echo it. Misses per second of the miss
+			// connection's busy time is the rate one connection could
+			// sustain sending them back to back.
+			"solves_per_s":    {trimmedMean(capacity), "1/s"},
+			"solve_p50_ms":    {trimmedMean(solveP50), "ms"},
+			"solve_p90_ms":    {trimmedMean(solveP90), "ms"},
 			"weight_mean":     {e.weightMean(), "weight"},
 			"alloc_mb_per_op": {allocMB, "MB"},
-			"miss_p50_ms":     {median(missP50), "ms"},
-			"miss_p90_ms":     {median(missP90), "ms"},
-			"hit_p50_ms":      {median(hitP50), "ms"},
-			"hit_p90_ms":      {median(hitP90), "ms"},
+			"miss_p50_ms":     {trimmedMean(missP50), "ms"},
+			"miss_p90_ms":     {trimmedMean(missP90), "ms"},
+			"hit_p50_ms":      {trimmedMean(hitP50), "ms"},
+			"hit_p90_ms":      {trimmedMean(hitP90), "ms"},
 		},
 	}
 }
@@ -467,11 +496,20 @@ func (e *serveEnv) traced() (*outcome, error) {
 	n := e.requests()
 	half := n / 2 &^ 1
 	plain, _ := e.load(0, half)
+	fsyncSum0, fsyncs0, err := e.journalFsyncs()
+	if err != nil {
+		return nil, err
+	}
 	sampled, _ := e.load(half, n)
+	fsyncSum1, fsyncs1, err := e.journalFsyncs()
+	if err != nil {
+		return nil, err
+	}
 	all := append(append([]sample(nil), plain...), sampled...)
 	st := summarise(all)
 
 	stages := map[string][]float64{}
+	groups := make([][]float64, len(missGroups)+1)
 	var unclaimed []float64
 	var redeliveries int64
 	b := newSolveBreakdown()
@@ -495,7 +533,16 @@ func (e *serveEnv) traced() (*outcome, error) {
 		for name, v := range per {
 			stages[name] = append(stages[name], v)
 		}
-		unclaimed = append(unclaimed, ms(s.rtt)-float64(d.DurationNanos)/1e6)
+		outside := ms(s.rtt) - float64(d.DurationNanos)/1e6
+		unclaimed = append(unclaimed, outside)
+		for g, grp := range missGroups {
+			var sum float64
+			for _, span := range grp.spans {
+				sum += per[span]
+			}
+			groups[g] = append(groups[g], sum)
+		}
+		groups[len(missGroups)] = append(groups[len(missGroups)], outside)
 		redeliveries += int64(max(claims-1, 0))
 		if solve != nil {
 			b.add(solve.DurationNanos(), phases)
@@ -516,11 +563,25 @@ func (e *serveEnv) traced() (*outcome, error) {
 	m["wire.decode_us"] = metric{decode, "us"}
 	m["wire.digest_us"] = metric{digest, "us"}
 	m["loadgen.late_p99_ms"] = metric{percentile(st.late, 0.99), "ms"}
-	m["trace.overhead_ratio"] = metric{median(summarise(sampled).missLat) / median(summarise(plain).missLat), "ratio"}
+	// The server traces every job, so the halves differ only in reading
+	// the job header: the ratio shows drift between them, not the cost of
+	// tracing.
+	sampledMisses := summarise(sampled).missLat
+	m["trace.overhead_ratio"] = metric{median(sampledMisses) / median(summarise(plain).missLat), "ratio"}
+	m["journal.fsync_ms"] = metric{1e3 * (fsyncSum1 - fsyncSum0) / float64(max(fsyncs1-fsyncs0, 1)), "ms"}
+	m["journal.fsyncs_per_miss"] = metric{float64(fsyncs1-fsyncs0) / float64(max(len(sampledMisses), 1)), "count"}
+	// Only the accepted record's append has a span; charge each further
+	// append of a miss (lease, outcome) one mean fsync batch.
+	unspanned := max(m["journal.fsyncs_per_miss"].Value-1, 0) * m["journal.fsync_ms"].Value
+	for i := range groups[0] {
+		groups[0][i] += unspanned
+	}
 	fillPerLayer(m)
 	notes := append([]string{fmt.Sprintf("traced %d sampled misses; serving stages (p50 ms): http outside the trace %.3f (request decode %.3f), admission %.3f, journal.accept %.3f, enqueue %.3f, queue.wait %.3f, agent store.get %.3f, solve %.3f, agent store.put %.3f, frontend store.put %.3f",
 		jobs, m["server.http_unclaimed_ms"].Value, decode/1e3, m["server.admission_ms"].Value, m["journal.accept_ms"].Value, m["queue.enqueue_ms"].Value, m["queue.wait_ms"].Value,
-		m["store.get_ms"].Value, m["server.solve_ms"].Value, m["store.put_ms"].Value, m["server.frontend_store_put_ms"].Value)}, b.notes()...)
+		m["store.get_ms"].Value, m["server.solve_ms"].Value, m["store.put_ms"].Value, m["server.frontend_store_put_ms"].Value),
+		fmt.Sprintf("journal: %.2f fsync batches per miss, %.3f ms each (mean)", m["journal.fsyncs_per_miss"].Value, m["journal.fsync_ms"].Value),
+		dominantGroup(groups)}, b.notes()...)
 	return &outcome{
 		attempted: int64(n + e.spec.warm),
 		failed:    st.failed,
@@ -528,6 +589,68 @@ func (e *serveEnv) traced() (*outcome, error) {
 		metrics:   m,
 		notes:     notes,
 	}, nil
+}
+
+// missGroups splits a sampled miss's job trace into layer groups, each
+// summing the spans ("process/name") it names. The first group also takes
+// the journal appends that have no span (see traced).
+var missGroups = []struct {
+	name  string
+	spans []string
+}{
+	{"journal+store+queue", []string{"frontend/journal.accept", "frontend/enqueue", "frontend/queue.wait", "agent/store.get", "agent/store.put", "frontend/store.put"}},
+	{"solve", []string{"agent/solve"}},
+	{"admission", []string{"frontend/admission"}},
+}
+
+// dominantGroup names the layer group with the largest median time per
+// sampled miss; groups[len(missGroups)] is HTTP outside the job trace.
+func dominantGroup(groups [][]float64) string {
+	names := make([]string, 0, len(groups))
+	for _, g := range missGroups {
+		names = append(names, g.name)
+	}
+	names = append(names, "http outside the trace")
+	best := 0
+	parts := make([]string, len(groups))
+	for g := range groups {
+		parts[g] = fmt.Sprintf("%s %.3f", names[g], median(groups[g]))
+		if median(groups[g]) > median(groups[best]) {
+			best = g
+		}
+	}
+	return fmt.Sprintf("sampled misses by layer group (p50 ms): %s; dominant: %s", strings.Join(parts, ", "), names[best])
+}
+
+// journalFsyncs reads the server's journal fsync histogram from /metrics:
+// the summed fsync time in seconds and the number of fsync batches.
+func (e *serveEnv) journalFsyncs() (sum float64, count int64, err error) {
+	resp, err := e.client.Get(e.base + "/metrics")
+	if err != nil {
+		return 0, 0, err
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return 0, 0, err
+	}
+	found := 0
+	for _, line := range strings.Split(string(raw), "\n") {
+		if v, ok := strings.CutPrefix(line, "kecss_journal_fsync_seconds_sum "); ok {
+			_, err = fmt.Sscan(v, &sum)
+			found++
+		} else if v, ok := strings.CutPrefix(line, "kecss_journal_fsync_seconds_count "); ok {
+			_, err = fmt.Sscan(v, &count)
+			found++
+		}
+		if err != nil {
+			return 0, 0, fmt.Errorf("metrics: %q: %w", line, err)
+		}
+	}
+	if found != 2 {
+		return 0, 0, errors.New("metrics: no journal fsync histogram (is the journal on?)")
+	}
+	return sum, count, nil
 }
 
 // stageMetrics maps each serving-stage metric to its trace span, keyed
