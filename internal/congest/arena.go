@@ -1,10 +1,20 @@
 package congest
 
+import "repro/internal/graph"
+
 // NetworkArena recycles a Network's internal buffers across repeated
 // NewNetwork calls. Experiment sweeps and multi-phase algorithms build
 // hundreds of networks over same-sized graphs; with an arena, each
 // construction reuses the previous network's contexts, inboxes, neighbour
 // tables and message slots instead of re-allocating them.
+//
+// The arena also remembers which graph its topology (port index, neighbour
+// tables, slot map, nbrPort) was built for, keyed on the graph's identity
+// and edge count; AddEdge is the only way to change a graph, so the key
+// cannot go stale. A multi-phase algorithm that builds many networks over
+// one graph therefore builds the topology once: later networks over the same
+// graph only rebind the contexts, empty the out-lists and inboxes and clear
+// the done flags, in O(n).
 //
 // Ownership rules:
 //
@@ -16,6 +26,8 @@ package congest
 //     results (Program, Metrics, Graph) stays valid afterwards; calling
 //     Step on the finished network panics.
 //   - An arena is not safe for concurrent use. Use one arena per goroutine.
+//   - An arena pins the last graph it indexed (and that graph's last
+//     network) until it builds a topology for another graph.
 //
 // The round stamp is carried across networks (see sentStamp in the package
 // documentation): recycled stamp buffers never need re-zeroing because a new
@@ -39,6 +51,11 @@ type NetworkArena struct {
 	nbrPort    map[int64]int32
 	stamp      uint32
 	busy       bool
+
+	// indexed and indexedM identify the graph the topology above was built
+	// for; nil until the first build.
+	indexed  *graph.Graph
+	indexedM int
 }
 
 // NewArena returns an empty arena. Buffers are allocated lazily, sized by
@@ -53,10 +70,11 @@ func WithDefaultArena(opts []Option) []Option {
 	return append([]Option{WithArena(NewArena())}, opts...)
 }
 
-// acquire resizes the arena's buffers for a graph with nv vertices, m edges
-// (p2 = 2m ports) and returns the starting round stamp for the borrowing
-// network. Buffers large enough are reused as-is; growing ones are replaced.
-func (a *NetworkArena) acquire(nv, p2, m int) uint32 {
+// acquire returns the starting round stamp for a network over g and whether
+// the arena's topology is still the one built for g. If it is not, the
+// buffers are resized for g (buffers large enough are reused as-is; growing
+// ones are replaced) and the caller must rebuild the topology into them.
+func (a *NetworkArena) acquire(g *graph.Graph) (stamp uint32, indexed bool) {
 	if a.stamp >= 1<<31 {
 		// Headroom check: restart stamps long before uint32 wraparound so a
 		// borrowed network can run billions of rounds safely. The full
@@ -65,6 +83,12 @@ func (a *NetworkArena) acquire(nv, p2, m int) uint32 {
 		clear(a.sentStamp[:cap(a.sentStamp)])
 		a.stamp = 0
 	}
+	if a.indexed == g && a.indexedM == g.M() {
+		return a.stamp + 1, true
+	}
+	nv, m := g.N(), g.M()
+	p2 := 2 * m
+	a.indexed, a.indexedM = g, m
 	a.slots = growSlice(a.slots, p2)
 	a.inboxArena = growSlice(a.inboxArena, p2)
 	a.neighbors = growSlice(a.neighbors, p2)
@@ -83,7 +107,12 @@ func (a *NetworkArena) acquire(nv, p2, m int) uint32 {
 	// shrinking graphs does not pin finished networks in memory.
 	clear(a.ctxs[nv:cap(a.ctxs)])
 	clear(a.inboxes[nv:cap(a.inboxes)])
-	return a.stamp + 1
+	if a.nbrPort == nil {
+		a.nbrPort = make(map[int64]int32, p2)
+	} else {
+		clear(a.nbrPort)
+	}
+	return a.stamp + 1, false
 }
 
 // growSlice returns buf resized to length n, reusing its backing array when

@@ -39,7 +39,11 @@
 //     carved out of a handful of flat allocations. A NetworkArena recycles
 //     them across repeated NewNetwork calls (see arena.go), so repetition
 //     sweeps construct networks without re-allocating contexts, inboxes or
-//     neighbour tables.
+//     neighbour tables. The arena also builds the topology (port index,
+//     neighbour tables, slot map, nbrPort) once per graph, keyed on the
+//     graph's identity and edge count: a multi-phase algorithm that builds
+//     many networks over one graph pays O(n + m) for the first and O(n) for
+//     each later one.
 //
 // Executors (see executor.go) decide how the n per-node Round calls run:
 // sequentially, on a persistent work-stealing worker pool (ParallelExecutor),

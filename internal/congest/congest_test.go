@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -322,5 +323,178 @@ func TestArenaNestedFallsBack(t *testing.T) {
 	}
 	if im != om {
 		t.Errorf("inner metrics %+v differ from outer %+v", im, om)
+	}
+}
+
+// logProgram floods the minimum vertex ID for a few rounds, mixing SendTo
+// and Broadcast, and logs every message it receives: two runs leave equal
+// program state only if every inbox matched message for message.
+type logProgram struct {
+	min  int64
+	left int
+	log  []Message
+}
+
+func (p *logProgram) Init(ctx *Context) {
+	p.min = int64(ctx.Node())
+	p.left = 4
+	ctx.Broadcast(Payload{Kind: 1, A: p.min})
+}
+
+func (p *logProgram) Round(ctx *Context, inbox []Message) bool {
+	p.log = append(p.log, inbox...)
+	for _, m := range inbox {
+		p.min = min(p.min, m.A)
+	}
+	if p.left > 0 {
+		p.left--
+		nbrs := ctx.Neighbors()
+		ctx.SendTo(nbrs[p.left%len(nbrs)].ID, Payload{Kind: 2, A: p.min})
+		ctx.Broadcast(Payload{Kind: 3, A: p.min})
+	}
+	return p.left == 0
+}
+
+// runLogged runs logProgram on g (through arena a, or on fresh buffers if a
+// is nil) and returns the metrics and every node's final program state.
+func runLogged(t *testing.T, g *graph.Graph, a *NetworkArena) (Metrics, []*logProgram) {
+	t.Helper()
+	progs := make([]*logProgram, g.N())
+	var opts []Option
+	if a != nil {
+		opts = append(opts, WithArena(a))
+	}
+	net := NewNetwork(g, func(v int) Program {
+		progs[v] = &logProgram{}
+		return progs[v]
+	}, opts...)
+	m, err := net.Run(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, progs
+}
+
+// TestArenaTopologyAlternatingGraphs alternates one arena between two
+// different graphs of the same n and m — same buffer sizes, different
+// topology — and checks every run against a run on fresh buffers.
+func TestArenaTopologyAlternatingGraphs(t *testing.T) {
+	g1 := graph.Cycle(12, graph.UnitWeights())
+	g1.AddEdge(0, 6, 1)
+	g1.AddEdge(3, 9, 1)
+	g1.AddEdge(3, 9, 1) // parallel edge
+	g2 := graph.Cycle(12, graph.UnitWeights())
+	g2.AddEdge(1, 7, 1)
+	g2.AddEdge(2, 5, 1)
+	g2.AddEdge(4, 11, 1)
+	arena := NewArena()
+	for i, g := range []*graph.Graph{g1, g1, g2, g2, g1, g2, g1} {
+		wantM, want := runLogged(t, g, nil)
+		gotM, got := runLogged(t, g, arena)
+		if !reflect.DeepEqual(gotM, wantM) {
+			t.Errorf("run %d: arena metrics %+v, want %+v", i, gotM, wantM)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("run %d: program state diverges under topology reuse", i)
+		}
+	}
+}
+
+// TestArenaTopologyBuiltOncePerGraph pins the reuse itself: a marker written
+// into the arena's neighbour table survives the next network over the same
+// graph (no rebuild) and is overwritten for another graph.
+func TestArenaTopologyBuiltOncePerGraph(t *testing.T) {
+	g := graph.Cycle(6, graph.UnitWeights())
+	other := graph.Cycle(6, graph.UnitWeights())
+	arena := NewArena()
+	firstWeight := func(g *graph.Graph) int64 {
+		net := NewNetwork(g, func(int) Program { return oneShot{} }, WithArena(arena))
+		w := net.ctxs[0].Neighbors()[0].Weight
+		if _, err := net.Run(10); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	firstWeight(g)
+	arena.neighbors[0].Weight = -1
+	if w := firstWeight(g); w != -1 {
+		t.Errorf("second network over the same graph rebuilt the topology")
+	}
+	if w := firstWeight(other); w != 1 {
+		t.Errorf("network over another graph read weight %d from a stale topology, want 1", w)
+	}
+}
+
+// TestArenaTopologyRebuildsAfterAddEdge grows a graph between two runs
+// through one arena: the arena must re-index it, so the new edge accepts
+// Send.
+func TestArenaTopologyRebuildsAfterAddEdge(t *testing.T) {
+	g := graph.Cycle(6, graph.UnitWeights())
+	arena := NewArena()
+	runLogged(t, g, arena)
+	e := g.AddEdge(0, 3, 1)
+	var got []Message
+	net := NewNetwork(g, func(v int) Program {
+		if v == 0 {
+			return edgeSender{edge: e}
+		}
+		return sink{out: &got}
+	}, WithArena(arena))
+	if _, err := net.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Edge != e || got[0].To != 3 {
+		t.Fatalf("received %+v, want one message on new edge %d to vertex 3", got, e)
+	}
+	wantM, want := runLogged(t, g, nil)
+	gotM, gotProgs := runLogged(t, g, arena)
+	if gotM != wantM || !reflect.DeepEqual(gotProgs, want) {
+		t.Errorf("grown graph through arena diverges from a fresh run")
+	}
+}
+
+// edgeSender sends one message on a fixed edge in Init.
+type edgeSender struct{ edge int }
+
+func (s edgeSender) Init(ctx *Context)              { ctx.Send(s.edge, Payload{Kind: 5}) }
+func (s edgeSender) Round(*Context, []Message) bool { return true }
+
+// sink records every message it receives and sends nothing.
+type sink struct{ out *[]Message }
+
+func (s sink) Init(*Context) {}
+func (s sink) Round(_ *Context, inbox []Message) bool {
+	*s.out = append(*s.out, inbox...)
+	return true
+}
+
+// TestArenaTopologyReuseSendToParallelEdges repeats the SendTo tie-break
+// check through one arena: runs after the first reuse the cached nbrPort
+// chains and must still pick unused parallel edges in ascending ID order.
+func TestArenaTopologyReuseSendToParallelEdges(t *testing.T) {
+	g := graph.New(2)
+	e0 := g.AddEdge(0, 1, 1)
+	e1 := g.AddEdge(0, 1, 1)
+	e2 := g.AddEdge(0, 1, 1)
+	arena := NewArena()
+	for rep := 0; rep < 3; rep++ {
+		var got []Message
+		net := NewNetwork(g, func(v int) Program {
+			if v == 0 {
+				return &tripleSender{}
+			}
+			return &captor{target: 0, out: &got, me: v}
+		}, WithArena(arena))
+		if _, err := net.Run(10); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 3 {
+			t.Fatalf("rep %d: captured %d messages, want 3", rep, len(got))
+		}
+		for i, wantEdge := range []int{e0, e1, e2} {
+			if got[i].Edge != wantEdge {
+				t.Errorf("rep %d: message %d travelled edge %d, want %d", rep, i, got[i].Edge, wantEdge)
+			}
+		}
 	}
 }

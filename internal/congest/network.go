@@ -93,8 +93,11 @@ func NewNetwork(g *graph.Graph, factory Factory, opts ...Option) *Network {
 		// returned the buffers, so it must not be recycled under them.
 		programs: make([]Program, g.N()),
 	}
-	n.attachBuffers(cfg.arena)
-	n.buildTopology()
+	if n.attachBuffers(cfg.arena) {
+		n.rebindTopology()
+	} else {
+		n.buildTopology()
+	}
 	n.roundFn = func(v int) {
 		n.done[v] = n.programs[v].Round(&n.ctxs[v], n.inboxes[v])
 	}
@@ -110,26 +113,23 @@ func NewNetwork(g *graph.Graph, factory Factory, opts ...Option) *Network {
 }
 
 // attachBuffers points the network's flat buffers at freshly allocated or
-// arena-recycled memory and fixes the starting round stamp.
-func (n *Network) attachBuffers(a *NetworkArena) {
+// arena-recycled memory and fixes the starting round stamp. It reports
+// whether the buffers already hold the topology of n.g (an arena's last
+// graph), in which case only rebindTopology is needed.
+func (n *Network) attachBuffers(a *NetworkArena) (indexed bool) {
 	nv, m := n.g.N(), n.g.M()
 	p2 := 2 * m
 	if a != nil && !a.busy {
 		a.busy = true
 		n.arena = a
-		n.stamp = a.acquire(nv, p2, m)
+		n.stamp, indexed = a.acquire(n.g)
 		n.slots, n.inboxArena = a.slots, a.inboxArena
 		n.neighbors, n.sentStamp = a.neighbors, a.sentStamp
 		n.outBack, n.slotOf, n.nextSame = a.outBack, a.slotOf, a.nextSame
 		n.portStart, n.portAtU, n.portAtV = a.portStart, a.portAtU, a.portAtV
 		n.ctxs, n.done, n.inboxes = a.ctxs, a.done, a.inboxes
-		if a.nbrPort == nil {
-			a.nbrPort = make(map[int64]int32, p2)
-		} else {
-			clear(a.nbrPort)
-		}
 		n.nbrPort = a.nbrPort
-		return
+		return indexed
 	}
 	n.stamp = 1
 	n.slots = make([]Message, p2)
@@ -144,6 +144,7 @@ func (n *Network) attachBuffers(a *NetworkArena) {
 	n.done = make([]bool, nv)
 	n.inboxes = make([][]Message, nv)
 	n.nbrPort = make(map[int64]int32, p2)
+	return false
 }
 
 // buildTopology fills the port index and per-node context views from the
@@ -199,6 +200,19 @@ func (n *Network) buildTopology() {
 		n.inboxes[v] = n.inboxArena[lo:lo:hi]
 		n.done[v] = false
 	}
+}
+
+// rebindTopology adopts the topology an arena already built for n.g: it
+// points every context at this network and empties the per-round state the
+// previous borrower left behind, O(n).
+func (n *Network) rebindTopology() {
+	for v := range n.ctxs {
+		ctx := &n.ctxs[v]
+		ctx.net = n
+		ctx.outSlots = ctx.outSlots[:0]
+		n.inboxes[v] = n.inboxes[v][:0]
+	}
+	clear(n.done)
 }
 
 // deliver moves every slot written this round into its destination inbox, in

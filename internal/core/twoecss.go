@@ -48,7 +48,7 @@ type TwoECSSResult struct {
 	// Rounds is the total charged/measured rounds (Theorem 1.1:
 	// O((D+√n)·log²n) w.h.p.).
 	Rounds int64
-	// TAP is the augmentation sub-result (iterations, breakdown, decomposition).
+	// TAP is the augmentation sub-result (iterations, round breakdown).
 	TAP *tap.Result
 	// Tree is the rooted MST the augmentation ran on.
 	Tree *tree.Rooted

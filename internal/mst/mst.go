@@ -11,12 +11,17 @@
 // round accounting for the theorems charges the Kutten–Peleg bound via
 // internal/rounds (see DESIGN.md, substitutions).
 //
+// The simulation's bookkeeping is flat: a fragment's ID is its root vertex
+// ID, so per-fragment tables are slices indexed by vertex, per-edge tables
+// are slices indexed by edge ID, and each network's programs come from one
+// slice reused by every phase. All networks of one solve run over the same
+// graph through one arena, which builds the port topology once.
+//
 //kecss:deterministic
 package mst
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/congest"
 	"repro/internal/graph"
@@ -82,20 +87,7 @@ func DistributedBoruvka(g *graph.Graph, opts ...congest.Option) (*Result, error)
 	if n == 0 {
 		return &Result{}, nil
 	}
-	// Every phase builds several short-lived networks over g; by default one
-	// arena lets them all share buffers.
-	st := &boruvkaState{
-		g:          g,
-		fragID:     make([]int, n),
-		parent:     make([]int, n),
-		parentEdge: make([]int, n),
-		opts:       congest.WithDefaultArena(opts),
-	}
-	for v := 0; v < n; v++ {
-		st.fragID[v] = v
-		st.parent[v] = -1
-		st.parentEdge[v] = -1
-	}
+	st := newBoruvkaState(g, opts)
 	res := &Result{}
 	fragments := n
 	for fragments > 1 {
@@ -112,7 +104,7 @@ func DistributedBoruvka(g *graph.Graph, opts ...congest.Option) (*Result, error)
 		}
 		fragments -= merged
 	}
-	res.EdgeIDs = append(res.EdgeIDs, st.mstEdges...)
+	res.EdgeIDs = st.mstEdges
 	for _, id := range res.EdgeIDs {
 		res.Weight += g.Edge(id).W
 	}
@@ -132,6 +124,15 @@ func bitLen(n int) int {
 // phases: each entry is per-vertex local knowledge (its fragment ID and its
 // parent within the fragment tree), mirrored here so successive network runs
 // can be parameterized by it.
+//
+// A fragment's ID is the vertex ID of its root: initially every vertex is
+// its own root, and a merged cluster takes the minimum old fragment ID and is
+// re-rooted at that vertex. So fragID[v] == v exactly at the roots, and every
+// per-fragment table is a plain slice indexed by vertex ID.
+//
+// The remaining fields are scratch reused by every phase, so a solve
+// allocates them once: per-edge tables are indexed by edge ID, and each
+// network's programs live in one slice.
 type boruvkaState struct {
 	g          *graph.Graph
 	fragID     []int
@@ -139,28 +140,75 @@ type boruvkaState struct {
 	parentEdge []int
 	mstEdges   []int
 	opts       []congest.Option
+
+	heard       []int     // 2m: fragment ID heard over each edge, see heardSlot
+	localBest   []edgeKey // per vertex: its own minimum outgoing edge
+	children    []int     // per vertex: children in its fragment tree
+	mwoe        []edgeKey // per fragment ID: the fragment's MWOE, infKey if none
+	clusterEdge []bool    // per edge: in a fragment tree or a chosen MWOE
+
+	exchangeProgs []fragExchangeProgram
+	mwoeProgs     []mwoeProgram
+	minProgs      []restrictedMinProgram
+	bfsProgs      []restrictedBFSProgram
+}
+
+func newBoruvkaState(g *graph.Graph, opts []congest.Option) *boruvkaState {
+	n, m := g.N(), g.M()
+	st := &boruvkaState{
+		g:          g,
+		fragID:     make([]int, n),
+		parent:     make([]int, n),
+		parentEdge: make([]int, n),
+		// Every phase builds several short-lived networks over g; by default
+		// one arena lets them all share buffers and the port topology.
+		opts:          congest.WithDefaultArena(opts),
+		heard:         make([]int, 2*m),
+		localBest:     make([]edgeKey, n),
+		children:      make([]int, n),
+		mwoe:          make([]edgeKey, n),
+		clusterEdge:   make([]bool, m),
+		exchangeProgs: make([]fragExchangeProgram, n),
+		mwoeProgs:     make([]mwoeProgram, n),
+		minProgs:      make([]restrictedMinProgram, n),
+		bfsProgs:      make([]restrictedBFSProgram, n),
+	}
+	for v := 0; v < n; v++ {
+		st.fragID[v] = v
+		st.parent[v] = -1
+		st.parentEdge[v] = -1
+	}
+	return st
+}
+
+// fragments returns the number of fragments: one per root, the one vertex
+// whose fragment ID is its own.
+func (st *boruvkaState) fragments() int {
+	c := 0
+	for v, f := range st.fragID {
+		if f == v {
+			c++
+		}
+	}
+	return c
 }
 
 // phase runs one Borůvka phase, returns the number of fragment merges.
 func (st *boruvkaState) phase(acc *congest.Metrics) (int, error) {
-	g := st.g
-	n := g.N()
+	before := st.fragments()
 
 	// Step 1+2: fragment-ID exchange, then MWOE convergecast + broadcast on
 	// the fragment forest.
-	mwoe, err := st.findMWOEs(acc)
-	if err != nil {
+	if err := st.findMWOEs(acc); err != nil {
 		return 0, err
 	}
-
-	// Collect chosen MWOE per fragment; resolve merge forest.
-	chosen := make(map[int]int) // fragment ID -> edge ID
-	for f, k := range mwoe {
+	chosen := 0
+	for _, k := range st.mwoe {
 		if k != infKey {
-			chosen[f] = int(k.id)
+			chosen++
 		}
 	}
-	if len(chosen) == 0 {
+	if chosen == 0 {
 		return 0, nil
 	}
 	// Step 3 happens implicitly: both endpoints of a chosen edge learn it
@@ -168,128 +216,117 @@ func (st *boruvkaState) phase(acc *congest.Metrics) (int, error) {
 	// edge set that both endpoints are told about. For edge accounting we
 	// charge one extra round for the cross-edge announcement.
 	acc.Rounds++
-	acc.Messages += int64(len(chosen))
-	acc.Bits += int64(len(chosen)) * int64(congest.Payload{}.Bits())
+	acc.Messages += int64(chosen)
+	acc.Bits += int64(chosen) * int64(congest.Payload{}.Bits())
 
-	// Append the phase's new MST edges in fragment-ID order: map iteration
-	// order is randomized, and the result's edge order should be a pure
-	// function of the input (the executor-equivalence tests pin this).
-	fragIDs := make([]int, 0, len(chosen))
-	for f := range chosen {
-		fragIDs = append(fragIDs, f)
+	// Step 4a: clusters (fragment trees + new MWOE edges) agree on min
+	// fragment ID by restricted flooding. A chosen MWOE leaves its fragment,
+	// so it is never a tree edge: clusterEdge also de-duplicates an edge
+	// chosen by both its fragments, and the phase's new MST edges are
+	// appended in fragment-ID order.
+	clear(st.clusterEdge)
+	for _, e := range st.parentEdge {
+		if e != -1 {
+			st.clusterEdge[e] = true
+		}
 	}
-	sort.Ints(fragIDs)
-	newEdges := make(map[int]bool, len(chosen))
-	for _, f := range fragIDs {
-		id := chosen[f]
-		if !newEdges[id] {
-			newEdges[id] = true
+	for _, k := range st.mwoe {
+		if id := int(k.id); k != infKey && !st.clusterEdge[id] {
+			st.clusterEdge[id] = true
 			st.mstEdges = append(st.mstEdges, id)
 		}
 	}
-
-	// Step 4a: clusters (fragment trees + new MWOE edges) agree on min
-	// fragment ID by restricted flooding.
-	clusterEdge := make(map[int]bool, n+len(newEdges))
-	for v := 0; v < n; v++ {
-		if st.parentEdge[v] != -1 {
-			clusterEdge[st.parentEdge[v]] = true
-		}
-	}
-	for id := range newEdges {
-		clusterEdge[id] = true
-	}
-	newID, err := minFloodRestricted(g, clusterEdge, st.fragID, st.opts, acc)
-	if err != nil {
+	if err := st.minFloodRestricted(acc); err != nil {
 		return 0, err
 	}
 
 	// Step 4b: re-root each cluster at the vertex whose ID equals the new
 	// cluster ID by a restricted BFS.
-	parent, parentEdge, err := bfsRestricted(g, clusterEdge, newID, st.opts, acc)
-	if err != nil {
+	if err := st.bfsRestricted(acc); err != nil {
 		return 0, err
 	}
-
-	mergedAway := 0
-	seenOld := make(map[int]bool, n)
-	seenNew := make(map[int]bool, n)
-	for v := 0; v < n; v++ {
-		seenOld[st.fragID[v]] = true
-		seenNew[newID[v]] = true
-	}
-	mergedAway = len(seenOld) - len(seenNew)
-	st.fragID = newID
-	st.parent = parent
-	st.parentEdge = parentEdge
-	return mergedAway, nil
+	return before - st.fragments(), nil
 }
 
-// findMWOEs returns, per fragment ID, the minimum outgoing edge key. It runs
-// two network programs: one exchange round so every node learns neighbour
-// fragment IDs, then convergecast+broadcast on fragment trees.
-func (st *boruvkaState) findMWOEs(acc *congest.Metrics) (map[int]edgeKey, error) {
+// heardSlot is the index into boruvkaState.heard of what vertex v heard over
+// edge e from neighbour u: 2e at e's lower-ID endpoint, 2e+1 at the higher.
+// Each slot has exactly one writer, the receiving node.
+func heardSlot(e, v, u int) int {
+	if v > u {
+		return 2*e + 1
+	}
+	return 2 * e
+}
+
+// findMWOEs fills st.mwoe with each fragment's minimum outgoing edge key. It
+// runs two network programs: one exchange round so every node learns
+// neighbour fragment IDs, then convergecast+broadcast on fragment trees.
+func (st *boruvkaState) findMWOEs(acc *congest.Metrics) error {
 	g := st.g
+	n := g.N()
 	// Exchange round: every node learns the fragment ID across each edge.
-	exchanged := make([]map[int]int, g.N())
+	for i := range st.heard {
+		st.heard[i] = -1
+	}
 	net := congest.NewNetwork(g, func(v int) congest.Program {
-		return &fragExchangeProgram{fragID: int64(st.fragID[v]), got: &exchanged[v]}
+		p := &st.exchangeProgs[v]
+		*p = fragExchangeProgram{fragID: int64(st.fragID[v]), heard: st.heard}
+		return p
 	}, st.opts...)
 	m, err := net.Run(3)
 	if err != nil {
-		return nil, fmt.Errorf("mst: fragment exchange: %w", err)
+		return fmt.Errorf("mst: fragment exchange: %w", err)
 	}
 	accAdd(acc, m)
 
 	// Local MWOE candidate per node.
-	localBest := make([]edgeKey, g.N())
-	for v := 0; v < g.N(); v++ {
-		localBest[v] = infKey
+	for v := 0; v < n; v++ {
+		best := infKey
 		for _, a := range g.Adj(v) {
-			of, ok := exchanged[v][a.Edge]
-			if !ok {
-				return nil, fmt.Errorf("mst: missing fragment id on edge %d at vertex %d", a.Edge, v)
+			of := st.heard[heardSlot(a.Edge, v, a.To)]
+			if of == -1 {
+				return fmt.Errorf("mst: missing fragment id on edge %d at vertex %d", a.Edge, v)
 			}
 			if of == st.fragID[v] {
 				continue
 			}
 			k := edgeKey{w: g.Edge(a.Edge).W, id: int64(a.Edge)}
-			if k.less(localBest[v]) {
-				localBest[v] = k
+			if k.less(best) {
+				best = k
 			}
 		}
+		st.localBest[v] = best
 	}
 
 	// Convergecast min edgeKey up fragment trees, then broadcast winner.
-	out := make(map[int]edgeKey)
-	children := make([]int, g.N())
-	for u := 0; u < g.N(); u++ {
+	clear(st.children)
+	for u := 0; u < n; u++ {
 		if st.parent[u] != -1 {
-			children[st.parent[u]]++
+			st.children[st.parent[u]]++
 		}
 	}
-	progs := make([]*mwoeProgram, g.N())
 	net2 := congest.NewNetwork(g, func(v int) congest.Program {
-		p := &mwoeProgram{
+		p := &st.mwoeProgs[v]
+		*p = mwoeProgram{
 			parent:     st.parent[v],
 			parentEdge: st.parentEdge[v],
-			pending:    children[v],
-			best:       localBest[v],
+			pending:    st.children[v],
+			best:       st.localBest[v],
 		}
-		progs[v] = p
 		return p
 	}, st.opts...)
-	m2, err := net2.Run(g.N() + 3)
+	m2, err := net2.Run(n + 3)
 	if err != nil {
-		return nil, fmt.Errorf("mst: MWOE convergecast: %w", err)
+		return fmt.Errorf("mst: MWOE convergecast: %w", err)
 	}
 	accAdd(acc, m2)
-	for v := 0; v < g.N(); v++ {
-		if st.parent[v] == -1 { // fragment root
-			out[st.fragID[v]] = progs[v].best
+	for v := 0; v < n; v++ {
+		st.mwoe[v] = infKey
+		if st.parent[v] == -1 { // fragment root, fragID[v] == v
+			st.mwoe[v] = st.mwoeProgs[v].best
 		}
 	}
-	return out, nil
+	return nil
 }
 
 func accAdd(acc *congest.Metrics, m congest.Metrics) {
@@ -299,21 +336,20 @@ func accAdd(acc *congest.Metrics, m congest.Metrics) {
 }
 
 // fragExchangeProgram: every node announces its fragment ID on all edges and
-// records what it hears per edge.
+// records what it hears in its own slots of the shared heard table.
 type fragExchangeProgram struct {
 	fragID int64
-	got    *map[int]int
+	heard  []int
 }
 
 func (p *fragExchangeProgram) Init(ctx *congest.Context) {
-	*p.got = make(map[int]int, len(ctx.Neighbors()))
 	ctx.Broadcast(congest.Payload{Kind: 11, A: p.fragID})
 }
 
 func (p *fragExchangeProgram) Round(_ *congest.Context, inbox []congest.Message) bool {
 	for _, m := range inbox {
 		if m.Kind == 11 {
-			(*p.got)[m.Edge] = int(m.A)
+			p.heard[heardSlot(m.Edge, m.To, m.From)] = int(m.A)
 		}
 	}
 	return true
@@ -354,29 +390,28 @@ func (p *mwoeProgram) Round(ctx *congest.Context, inbox []congest.Message) bool 
 	return p.sentUp
 }
 
-// minFloodRestricted floods the minimum of start[] over the subgraph whose
-// edges are in allowed; returns per-vertex minimum of its connected cluster.
-func minFloodRestricted(g *graph.Graph, allowed map[int]bool, start []int, opts []congest.Option, acc *congest.Metrics) ([]int, error) {
-	progs := make([]*restrictedMinProgram, g.N())
+// minFloodRestricted floods the minimum fragment ID over the subgraph of
+// cluster edges and makes each vertex's cluster minimum its fragment ID.
+func (st *boruvkaState) minFloodRestricted(acc *congest.Metrics) error {
+	g := st.g
 	net := congest.NewNetwork(g, func(v int) congest.Program {
-		p := &restrictedMinProgram{allowed: allowed, best: int64(start[v])}
-		progs[v] = p
+		p := &st.minProgs[v]
+		*p = restrictedMinProgram{allowed: st.clusterEdge, best: int64(st.fragID[v])}
 		return p
-	}, opts...)
+	}, st.opts...)
 	m, err := net.Run(2*g.N() + 4)
 	if err != nil {
-		return nil, fmt.Errorf("mst: cluster min flood: %w", err)
+		return fmt.Errorf("mst: cluster min flood: %w", err)
 	}
 	accAdd(acc, m)
-	out := make([]int, g.N())
-	for v := range out {
-		out[v] = int(progs[v].best)
+	for v := range st.fragID {
+		st.fragID[v] = int(st.minProgs[v].best)
 	}
-	return out, nil
+	return nil
 }
 
 type restrictedMinProgram struct {
-	allowed   map[int]bool
+	allowed   []bool // per edge ID
 	best      int64
 	announced int64
 	started   bool
@@ -405,35 +440,33 @@ func (p *restrictedMinProgram) Round(ctx *congest.Context, inbox []congest.Messa
 	return true
 }
 
-// bfsRestricted runs a BFS restricted to allowed edges, rooted at every
-// vertex v with rootID[v] == v, producing per-vertex parent pointers within
-// its cluster.
-func bfsRestricted(g *graph.Graph, allowed map[int]bool, rootID []int, opts []congest.Option, acc *congest.Metrics) (parent, parentEdge []int, err error) {
-	progs := make([]*restrictedBFSProgram, g.N())
+// bfsRestricted runs a BFS over the cluster edges, rooted at every vertex v
+// with fragID[v] == v, and makes the BFS tree each cluster's fragment tree.
+func (st *boruvkaState) bfsRestricted(acc *congest.Metrics) error {
+	g := st.g
 	net := congest.NewNetwork(g, func(v int) congest.Program {
-		p := &restrictedBFSProgram{allowed: allowed, isRoot: rootID[v] == v}
-		progs[v] = p
+		p := &st.bfsProgs[v]
+		*p = restrictedBFSProgram{allowed: st.clusterEdge, isRoot: st.fragID[v] == v}
 		return p
-	}, opts...)
+	}, st.opts...)
 	m, err := net.Run(2*g.N() + 4)
 	if err != nil {
-		return nil, nil, fmt.Errorf("mst: cluster BFS: %w", err)
+		return fmt.Errorf("mst: cluster BFS: %w", err)
 	}
 	accAdd(acc, m)
-	parent = make([]int, g.N())
-	parentEdge = make([]int, g.N())
-	for v := range parent {
-		if !progs[v].joined {
-			return nil, nil, fmt.Errorf("mst: vertex %d not reached by cluster BFS", v)
+	for v := range st.parent {
+		p := &st.bfsProgs[v]
+		if !p.joined {
+			return fmt.Errorf("mst: vertex %d not reached by cluster BFS", v)
 		}
-		parent[v] = progs[v].parent
-		parentEdge[v] = progs[v].parentEdge
+		st.parent[v] = p.parent
+		st.parentEdge[v] = p.parentEdge
 	}
-	return parent, parentEdge, nil
+	return nil
 }
 
 type restrictedBFSProgram struct {
-	allowed    map[int]bool
+	allowed    []bool // per edge ID
 	isRoot     bool
 	joined     bool
 	parent     int

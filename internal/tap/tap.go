@@ -61,8 +61,6 @@ type Result struct {
 	Rounds int64
 	// RoundBreakdown itemizes the charges.
 	RoundBreakdown []rounds.Charge
-	// Decomposition is the segment decomposition used for accounting.
-	Decomposition *segments.Decomposition
 }
 
 // Augment runs the weighted TAP algorithm on graph g with spanning tree tr.
@@ -110,7 +108,7 @@ func Augment(g *graph.Graph, tr *tree.Rooted, opts Options) (*Result, error) {
 	}
 	acc.Charge("zero-weight preprocessing", d+segCost)
 
-	res := &Result{Decomposition: dec}
+	res := &Result{}
 	for st.uncovered > 0 {
 		if res.Iterations >= maxIters {
 			return nil, fmt.Errorf("tap: exceeded %d iterations with %d tree edges uncovered", maxIters, st.uncovered)
