@@ -83,7 +83,7 @@ func BenchmarkMicro_Solve3ECSSEndToEndReference(b *testing.B) {
 			g := bench3ECSSGraph(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Solve3ECSSUnweighted(g, WithSeed(int64(i)), WithReferenceLabeling()); err != nil {
+				if _, err := Solve3ECSSUnweighted(g, WithSeed(int64(i)), withReferenceLabeling()); err != nil {
 					b.Fatal(err)
 				}
 			}

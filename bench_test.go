@@ -150,15 +150,12 @@ func benchSimulatorFlood(b *testing.B, n int, opts ...congest.Option) {
 func BenchmarkMicro_SimulatorRound(b *testing.B) {
 	seq := congest.WithExecutor(congest.SequentialExecutor{})
 	par := congest.WithExecutor(congest.ParallelExecutor{})
-	shard := congest.WithExecutor(congest.ShardedExecutor{})
 	b.Run("broadcast/n=1k", func(b *testing.B) { benchSimulatorBroadcast(b, 1000, congest.SequentialExecutor{}) })
 	b.Run("broadcast/n=4k", func(b *testing.B) { benchSimulatorBroadcast(b, 4000, congest.SequentialExecutor{}) })
 	b.Run("broadcast-parallel/n=4k", func(b *testing.B) { benchSimulatorBroadcast(b, 4000, congest.ParallelExecutor{}) })
-	b.Run("broadcast-sharded/n=4k", func(b *testing.B) { benchSimulatorBroadcast(b, 4000, congest.ShardedExecutor{}) })
 	b.Run("flood/n=1k", func(b *testing.B) { benchSimulatorFlood(b, 1000, seq) })
 	b.Run("flood/n=4k", func(b *testing.B) { benchSimulatorFlood(b, 4000, seq) })
 	b.Run("flood-parallel/n=4k", func(b *testing.B) { benchSimulatorFlood(b, 4000, par) })
-	b.Run("flood-sharded/n=4k", func(b *testing.B) { benchSimulatorFlood(b, 4000, shard) })
 	b.Run("flood-arena/n=1k", func(b *testing.B) {
 		benchSimulatorFlood(b, 1000, seq, congest.WithArena(congest.NewArena()))
 	})

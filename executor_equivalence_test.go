@@ -30,7 +30,6 @@ func executorsUnderTest() []struct {
 	}{
 		{"sequential", congest.SequentialExecutor{}},
 		{"parallel", congest.ParallelExecutor{}},
-		{"sharded", congest.ShardedExecutor{}},
 	}
 }
 

@@ -46,11 +46,10 @@
 //     each later one.
 //
 // Executors (see executor.go) decide how the n per-node Round calls run:
-// sequentially, on a persistent work-stealing worker pool (ParallelExecutor),
-// or on the same pool with contiguous vertex shards (ShardedExecutor). All
-// three produce byte-identical results and Metrics because programs touch
-// only per-node state and delivery order is fixed by the network, not the
-// executor.
+// sequentially (SequentialExecutor) or on a persistent work-stealing worker
+// pool (ParallelExecutor). Both produce byte-identical results and Metrics
+// because programs touch only per-node state and delivery order is fixed by
+// the network, not the executor.
 //
 //kecss:deterministic
 package congest

@@ -37,7 +37,7 @@ func (f *floodProgram) Round(ctx *Context, inbox []Message) bool {
 
 func TestFloodTerminatesInDiameterRounds(t *testing.T) {
 	g := graph.Cycle(10, graph.UnitWeights())
-	for _, exec := range []Executor{SequentialExecutor{}, ParallelExecutor{}, ShardedExecutor{}} {
+	for _, exec := range []Executor{SequentialExecutor{}, ParallelExecutor{}} {
 		net := NewNetwork(g, func(int) Program { return &floodProgram{} }, WithExecutor(exec))
 		m, err := net.Run(100)
 		if err != nil {

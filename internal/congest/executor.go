@@ -35,46 +35,20 @@ func (SequentialExecutor) RunRound(n int, fn func(v int)) {
 type ParallelExecutor struct{}
 
 // RunRound implements Executor.
-func (ParallelExecutor) RunRound(n int, fn func(v int)) { runPooled(n, fn, false) }
-
-// ShardedExecutor runs each round on the same persistent pool, but
-// partitions the vertices into one contiguous range per worker instead of
-// interleaving small chunks. Contiguous ranges keep each worker touching a
-// contiguous run of per-node state (contexts, inboxes), which is friendlier
-// to caches when per-node work is uniform; dynamic chunking (ParallelExecutor)
-// balances better when it is not.
-type ShardedExecutor struct{}
-
-// RunRound implements Executor.
-func (ShardedExecutor) RunRound(n int, fn func(v int)) { runPooled(n, fn, true) }
+func (ParallelExecutor) RunRound(n int, fn func(v int)) { runPooled(n, fn) }
 
 // poolTask is one round of work, executed cooperatively by the pool workers
 // and the submitting goroutine.
 type poolTask struct {
-	fn      func(v int)
-	n       int
-	chunk   int64 // chunked mode: vertices per cursor claim
-	parts   int64 // sharded mode: number of contiguous shards
-	sharded bool
-	cursor  atomic.Int64 // next chunk start (chunked) or next shard (sharded)
-	wg      sync.WaitGroup
+	fn     func(v int)
+	n      int
+	chunk  int64        // vertices per cursor claim
+	cursor atomic.Int64 // next chunk start
+	wg     sync.WaitGroup
 }
 
 // run consumes work from the task until none is left.
 func (t *poolTask) run() {
-	if t.sharded {
-		for {
-			s := t.cursor.Add(1) - 1
-			if s >= t.parts {
-				return
-			}
-			lo := int(s) * t.n / int(t.parts)
-			hi := int(s+1) * t.n / int(t.parts)
-			for v := lo; v < hi; v++ {
-				t.fn(v)
-			}
-		}
-	}
 	for {
 		lo := t.cursor.Add(t.chunk) - t.chunk
 		if lo >= int64(t.n) {
@@ -91,7 +65,7 @@ func (t *poolTask) run() {
 }
 
 const (
-	// minChunk bounds cursor contention in chunked mode.
+	// minChunk bounds cursor contention.
 	minChunk = 16
 	// poolCutoff is the round size below which the cross-goroutine handoff
 	// costs more than it saves; smaller rounds run inline.
@@ -126,7 +100,7 @@ func startPool() {
 // runPooled executes fn(0..n-1) on the shared pool. The calling goroutine
 // participates as one of the executors, so a round never waits on a worker
 // that is busy with another network's round.
-func runPooled(n int, fn func(v int), sharded bool) {
+func runPooled(n int, fn func(v int)) {
 	if n <= 0 {
 		return
 	}
@@ -140,17 +114,13 @@ func runPooled(n int, fn func(v int), sharded bool) {
 		helpers = maxHelpers
 	}
 	t := taskPool.Get().(*poolTask)
-	t.fn, t.n, t.sharded = fn, n, sharded
+	t.fn, t.n = fn, n
 	t.cursor.Store(0)
-	if sharded {
-		t.parts = int64(helpers + 1)
-	} else {
-		chunk := n / (8 * (helpers + 1))
-		if chunk < minChunk {
-			chunk = minChunk
-		}
-		t.chunk = int64(chunk)
+	chunk := n / (8 * (helpers + 1))
+	if chunk < minChunk {
+		chunk = minChunk
 	}
+	t.chunk = int64(chunk)
 	t.wg.Add(helpers)
 	for i := 0; i < helpers; i++ {
 		poolTasks <- t
@@ -164,5 +134,4 @@ func runPooled(n int, fn func(v int), sharded bool) {
 var (
 	_ Executor = SequentialExecutor{}
 	_ Executor = ParallelExecutor{}
-	_ Executor = ShardedExecutor{}
 )

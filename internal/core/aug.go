@@ -19,16 +19,9 @@ type AugOptions struct {
 	// fixes M large for the w.h.p. argument, the measured behaviour is the
 	// experiment).
 	PhaseLen int
-	// MaxIterations bounds the main loop; 0 derives a generous O(log³ n)
-	// cap.
-	MaxIterations int
-	// CutEnum tunes the minimum-cut enumeration that opens the level
-	// (parallel Karger–Stein trials, trial count). Aug computes H's
-	// connectivity itself with one capped max-flow pass and hands it to the
-	// enumerator, so CutEnum.KnownConnectivity is ignored here.
-	CutEnum CutEnumOptions
 	// Phase, if set, receives a cut-enum and an augment PhaseEvent for this
-	// level (Level = k). Nil costs nothing.
+	// level (Level = k), and the ks-sweep / ks-materialise events of its
+	// cut enumeration. Nil costs nothing.
 	Phase PhaseObserver
 }
 
@@ -71,9 +64,8 @@ func Aug(g *graph.Graph, h []int, k int, opts AugOptions) (*AugResult, error) {
 	}
 	hs, _ := g.SubgraphOf(h)
 	size := k - 1
-	enumOpts := opts.CutEnum
-	enumOpts.KnownConnectivity = 0
-	if enumOpts.Phase == nil && opts.Phase != nil {
+	var enumOpts CutEnumOptions
+	if opts.Phase != nil {
 		// Forward the solver observer into the enumeration so its ks-sweep /
 		// ks-materialise events appear inside this level's cut-enum span,
 		// tagged with the level they belong to.
@@ -130,10 +122,7 @@ func Aug(g *graph.Graph, h []int, k int, opts AugOptions) (*AugResult, error) {
 	if phaseLen == 0 {
 		phaseLen = 1
 	}
-	maxIters := opts.MaxIterations
-	if maxIters == 0 {
-		maxIters = 20*logn*logn*logn + 200
-	}
+	maxIters := 20*logn*logn*logn + 200
 
 	// Candidate pool: edges outside H, with the cuts they cross, each
 	// carrying its live uncovered-cut count ce — kept current by the

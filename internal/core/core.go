@@ -17,14 +17,12 @@
 // the Θ(n²·log n) flat contractions of EnumerateMinCutsReference (retained
 // as the testing oracle).
 //
-// # Determinism of parallel trials
+// # Per-trial seeds
 //
-// Contraction trials may run on several goroutines
-// (CutEnumOptions.Workers) and follow the contract internal/service
-// established for sweeps: trial t draws from a private RNG seeded
-// baseSeed XOR t (baseSeed is one Int63 from the caller's RNG), trial
-// results merge in trial order, and the merged set is sorted canonically —
-// so the output is byte-identical at any worker count and scheduling.
+// Contraction trial t draws from a private RNG seeded baseSeed XOR t
+// (baseSeed is one Int63 from the caller's RNG), and the found cuts are
+// sorted canonically, so the output depends only on the graph, the cut
+// size and that one draw.
 //
 // # Arena ownership
 //
@@ -40,8 +38,8 @@
 // Cut identity is 64-bit FNV-1a hashed and resolved by intern tables that
 // compare the underlying data on hash collision — inside trials over the
 // sorted crossing-edge signature (O(λ) per probe; for a minimum cut the λ
-// crossing edges determine the bipartition), across trial merges and the
-// size-2 exact enumerator over the bipartition bitset. Aug's coverage
+// crossing edges determine the bipartition), in the size-2 exact
+// enumerator over the bipartition bitset. Aug's coverage
 // bookkeeping then works on dense cut indices (covered bitmaps, candidate
 // cut-index lists) — no string keys on any hot path.
 //

@@ -176,40 +176,16 @@ func (it *cutInterner) add(side []uint64) (Cut, bool) {
 	if idx := it.lookup(h, side); idx >= 0 {
 		return it.cuts[idx], false
 	}
-	return it.insert(h, it.store.alloc(side)), true
-}
-
-// addCut interns an already-materialised Cut without copying its bitset.
-// Used when merging per-trial results whose cuts already own their memory.
-func (it *cutInterner) addCut(c Cut) bool {
-	h := hashWords(c.side)
-	if it.lookup(h, c.side) >= 0 {
-		return false
-	}
-	it.insert(h, c)
-	return true
-}
-
-func (it *cutInterner) insert(h uint64, c Cut) Cut {
+	c := it.store.alloc(side)
 	it.table[h] = append(it.table[h], int32(len(it.cuts)))
 	it.cuts = append(it.cuts, c)
-	return c
+	return c, true
 }
 
 // CutEnumOptions tunes EnumerateMinCutsOpts. The zero value is the default:
-// sequential trials, the default Karger–Stein repetition count, and λ(h)
-// verified by a capped max-flow pass.
+// the default Karger–Stein repetition count, and λ(h) verified by a capped
+// max-flow pass. The exact enumerators for sizes 1–2 ignore every field.
 type CutEnumOptions struct {
-	// Workers spreads the size >= 3 contraction trials over this many
-	// goroutines (via service.Do). 0 or 1 keeps them on the calling
-	// goroutine. Results are byte-identical at any worker count: trial t
-	// always draws from its own RNG seeded baseSeed XOR t and trial results
-	// merge in trial order. The exact enumerators for sizes 1–2 ignore this.
-	Workers int
-	// TrialFactor multiplies the default Θ(log²n) Karger–Stein repetition
-	// count (0 or 1 = default). The default is chosen for w.h.p.
-	// completeness; raising it buys a lower miss probability with CPU.
-	TrialFactor int
 	// KnownConnectivity > 0 is the caller's promise that λ(h) equals this
 	// value, letting the enumerator skip its own capped max-flow
 	// verification (an Aug level has just computed the connectivity of the
@@ -221,7 +197,7 @@ type CutEnumOptions struct {
 	// visit the same bipartitions and produce identical output (pinned by
 	// the equivalence tests); the recount survives as the oracle.
 	LeafRecount bool
-	// MaxTrials caps the Karger–Stein repetition count (after TrialFactor),
+	// MaxTrials caps the Karger–Stein repetition count,
 	// for tests that compare leaf strategies on graphs too large for the
 	// full w.h.p. schedule. 0 means no cap. Capped runs may miss cuts and
 	// must not be used for solving.
@@ -241,7 +217,7 @@ func EnumerateMinCuts(h *graph.Graph, size int, rng *rand.Rand) ([]Cut, error) {
 }
 
 // EnumerateMinCutsOpts is EnumerateMinCuts with explicit enumeration
-// options; see CutEnumOptions for the determinism contract.
+// options (see CutEnumOptions).
 func EnumerateMinCutsOpts(h *graph.Graph, size int, rng *rand.Rand, opts CutEnumOptions) ([]Cut, error) {
 	if !h.Connected() {
 		return nil, fmt.Errorf("core: cut enumeration needs a connected graph")

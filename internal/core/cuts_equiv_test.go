@@ -75,8 +75,7 @@ func cutKeySet(cuts []Cut) map[string]bool {
 // TestEnumerateMinCutsEquivalenceCorpus asserts that the Karger–Stein
 // enumerator returns exactly the same cut sets (canonical bipartitions) as
 // the retained flat-Karger reference across all ten generator families at
-// sizes 3–5, and that the new enumerator is byte-identical at workers=1
-// vs 4.
+// sizes 3–5.
 func TestEnumerateMinCutsEquivalenceCorpus(t *testing.T) {
 	for _, tc := range equivCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -99,44 +98,27 @@ func TestEnumerateMinCutsEquivalenceCorpus(t *testing.T) {
 			if !reflect.DeepEqual(refSet, gotSet) {
 				t.Fatalf("cut sets differ: reference %d cuts, karger–stein %d cuts", len(refSet), len(gotSet))
 			}
-			par, err := EnumerateMinCutsOpts(g, tc.lambda, rand.New(rand.NewSource(202)), CutEnumOptions{Workers: 4})
-			if err != nil {
-				t.Fatalf("workers=4: %v", err)
-			}
-			if !reflect.DeepEqual(got, par) {
-				t.Fatalf("workers=1 vs 4 not byte-identical: %d vs %d cuts", len(got), len(par))
-			}
 		})
 	}
 }
 
-// TestEnumerateMinCutsParallelDeterministic pins the determinism contract
-// on a larger instance and under concurrent enumeration (the arenas come
-// from a shared sync.Pool; run with -race).
-func TestEnumerateMinCutsParallelDeterministic(t *testing.T) {
+// TestEnumerateMinCutsConcurrentDeterministic pins the determinism contract
+// on a larger instance under concurrent enumeration: the arenas come from a
+// shared sync.Pool, so goroutines enumerating at once must not interfere
+// (run with -race).
+func TestEnumerateMinCutsConcurrentDeterministic(t *testing.T) {
 	g := graph.RandomKConnected(48, 4, 10, rand.New(rand.NewSource(5)), graph.UnitWeights())
 	size := g.EdgeConnectivity()
 	if size < 3 {
 		t.Fatalf("instance drift: λ=%d < 3", size)
 	}
-	want, err := EnumerateMinCutsOpts(g, size, rand.New(rand.NewSource(9)), CutEnumOptions{Workers: 1})
+	want, err := EnumerateMinCuts(g, size, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want) == 0 {
 		t.Fatal("no cuts found")
 	}
-	for _, workers := range []int{2, 4, 7} {
-		got, err := EnumerateMinCutsOpts(g, size, rand.New(rand.NewSource(9)), CutEnumOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d differs from workers=1", workers)
-		}
-	}
-	// Concurrent enumerations racing over the shared arena pool must not
-	// interfere with each other.
 	var wg sync.WaitGroup
 	results := make([][]Cut, 8)
 	errs := make([]error, 8)
@@ -144,8 +126,7 @@ func TestEnumerateMinCutsParallelDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			w := 1 + i%3
-			results[i], errs[i] = EnumerateMinCutsOpts(g, size, rand.New(rand.NewSource(9)), CutEnumOptions{Workers: w})
+			results[i], errs[i] = EnumerateMinCuts(g, size, rand.New(rand.NewSource(9)))
 		}(i)
 	}
 	wg.Wait()
@@ -156,23 +137,6 @@ func TestEnumerateMinCutsParallelDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(want, r) {
 			t.Fatalf("concurrent enumeration %d differs", i)
 		}
-	}
-}
-
-// TestEnumerateMinCutsTrialFactor: raising the trial count must never
-// change the (already complete w.h.p.) result set.
-func TestEnumerateMinCutsTrialFactor(t *testing.T) {
-	g := graph.Harary(3, 20, graph.UnitWeights())
-	base, err := EnumerateMinCuts(g, 3, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	more, err := EnumerateMinCutsOpts(g, 3, rand.New(rand.NewSource(1)), CutEnumOptions{TrialFactor: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cutKeySet(base), cutKeySet(more)) {
-		t.Fatalf("TrialFactor changed the cut set: %d vs %d", len(base), len(more))
 	}
 }
 
@@ -224,9 +188,6 @@ func TestCutInterner(t *testing.T) {
 	}
 	if _, new3 := it.add(b); !new3 {
 		t.Fatal("distinct add not new")
-	}
-	if !it.addCut(Cut{side: []uint64{9, 9, 9}}) || it.addCut(c1) {
-		t.Fatal("addCut dedup wrong")
 	}
 	// Mutating the input after add must not affect the interned copy.
 	a[0] = 77
@@ -331,7 +292,7 @@ func cutSliceDigest(cuts []Cut) uint64 {
 // above covers. MaxTrials caps the Karger–Stein schedule to a smoke (capped
 // runs may miss cuts; irrelevant here — both evaluators walk the same
 // capped trajectory), and with identical seeds the two must return
-// byte-identical cut slices, as must workers=1 vs 4. The doubled cycle is
+// byte-identical cut slices. The doubled cycle is
 // cut-dense (a single capped trial materialises >10^6 bipartitions), so its
 // runs are compared by order-sensitive digest and released one at a time
 // instead of held side by side.
@@ -361,15 +322,6 @@ func TestGrayCodeMatchesRecountLarge(t *testing.T) {
 		}
 		if !reflect.DeepEqual(sweep, recount) {
 			t.Fatalf("gray-code sweep and recount diverge: %d vs %d cuts", len(sweep), len(recount))
-		}
-		po := opts
-		po.Workers = 4
-		par, err := EnumerateMinCutsOpts(g, 3, rand.New(rand.NewSource(77)), po)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sweep, par) {
-			t.Fatalf("workers=1 vs 4 not byte-identical: %d vs %d cuts", len(sweep), len(par))
 		}
 	})
 

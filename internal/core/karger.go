@@ -44,12 +44,10 @@ package core
 // (the interned signature plus the materialised bitset, carved from a
 // shared block).
 //
-// Determinism contract (the same one internal/service established for
-// sweeps): trial t always draws from a private RNG seeded baseSeed XOR t,
-// where baseSeed is one Int63 drawn from the caller's RNG; trial results
-// merge in trial order; the merged set is sorted canonically. Together
-// these make the output byte-identical at any CutEnumOptions.Workers value
-// and under any goroutine scheduling.
+// Determinism contract: trial t always draws from a private RNG seeded
+// baseSeed XOR t, where baseSeed is one Int63 drawn from the caller's RNG,
+// and the found cuts are sorted canonically. The output is therefore a
+// function of the graph, the size and that one draw.
 
 import (
 	"fmt"
@@ -59,7 +57,6 @@ import (
 	"sync"
 
 	"repro/internal/graph"
-	"repro/internal/service"
 )
 
 // ksBase is the supernode count at which contraction stops and the trial
@@ -117,19 +114,9 @@ type ksLevel struct {
 	newid  []int32  // root -> dense child label
 }
 
-// ksStats counts what the base-case sweeps of one arena did. leaves and
-// steps are per-trial quantities, so their totals across a run are
-// deterministic at any worker count (unlike per-arena first-sighting
-// counts, which depend on trial→arena assignment).
-type ksStats struct {
-	leaves int64 // base-case enumerations executed
-	steps  int64 // bipartitions visited across all leaves
-}
-
 // cutArena owns every buffer a contraction worker needs. Arenas are
 // recycled through arenaPool; prepare resets them for a new graph. An arena
-// is single-goroutine state: the parallel driver hands each arena to one
-// worker at a time.
+// is single-goroutine state, owned by one enumeration call at a time.
 //
 //kecss:arena
 type cutArena struct {
@@ -139,7 +126,7 @@ type cutArena struct {
 	sig      []int32 // crossing-edge signature scratch
 	idsValid int     // deepest level whose ids cache is current (level 0 always is)
 	recount  bool    // use the per-mask recount oracle instead of the gray sweep
-	stats    ksStats
+	steps    int64   // bipartitions visited across all leaves since prepare
 	rng      ksRand
 	sigs     sigInterner
 	store    cutStore
@@ -217,7 +204,7 @@ func (a *cutArena) prepare(n, maxDepth, size int) {
 		lv0.ids[v] = int32(v)
 	}
 	a.idsValid = 0
-	a.stats = ksStats{}
+	a.steps = 0
 	a.fresh = a.fresh[:0]
 	a.sigs.reset(size)
 	a.store.reset(n)
@@ -266,7 +253,6 @@ func ksDepth(n int) int {
 // (doubled cycles: 65 trials to full coverage at n=96 over 30 seeds, vs
 // 192 here) while ordinary families cover within ~14 trials; the
 // exhaustive <= ksBase base case is what makes trials this productive.
-// TrialFactor in CutEnumOptions scales it for callers wanting more margin.
 func ksTrials(n int) int {
 	l := bits.Len(uint(n)) + 1
 	t := 3 * l * l
@@ -421,7 +407,6 @@ func (a *cutArena) enumerateBase(depth, size int) {
 	if cap(a.sig) < size {
 		a.sig = make([]int32, size)
 	}
-	a.stats.leaves++
 	if a.recount {
 		a.enumerateBaseRecount(depth, size)
 		return
@@ -436,7 +421,7 @@ func (a *cutArena) enumerateBase(depth, size int) {
 		}
 	}
 	steps := uint32(1) << uint(nf)
-	a.stats.steps += int64(steps) - 1
+	a.steps += int64(steps) - 1
 	if m <= 64 {
 		// Per-supernode incident-edge bitmasks over the (deep leaves are
 		// sparse) <= 64 surviving edges: crossSet's bit i says edge i
@@ -511,7 +496,7 @@ func (a *cutArena) enumerateBaseRecount(depth, size int) {
 		if mask&(1<<uint(lv.v0)) != 0 {
 			continue // canonical orientation: vertex 0's supernode stays out
 		}
-		a.stats.steps++
+		a.steps++
 		crossing := 0
 		for i := range lv.edges {
 			e := &lv.edges[i]
@@ -614,9 +599,10 @@ func (a *cutArena) composeIDs(depth int) []int32 {
 }
 
 // cutsByContraction enumerates all minimum cuts of h (whose edge
-// connectivity must equal size) by deterministic, optionally parallel
-// Karger–Stein trials. See the file comment for the scheme and the
-// determinism contract.
+// connectivity must equal size) by deterministic Karger–Stein trials on
+// one arena, whose intern table dedups across all trials, so
+// already-seen bipartitions cost no allocation at all. See the file
+// comment for the scheme and the determinism contract.
 func cutsByContraction(h *graph.Graph, size int, rng *rand.Rand, opts CutEnumOptions) ([]Cut, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("core: contraction enumeration requires rng")
@@ -642,9 +628,6 @@ func cutsByContraction(h *graph.Graph, size int, rng *rand.Rand, opts CutEnumOpt
 	}
 	n := h.N()
 	trials := ksTrials(n)
-	if opts.TrialFactor > 1 {
-		trials *= opts.TrialFactor
-	}
 	if opts.MaxTrials > 0 && trials > opts.MaxTrials {
 		trials = opts.MaxTrials
 	}
@@ -655,78 +638,21 @@ func cutsByContraction(h *graph.Graph, size int, rng *rand.Rand, opts CutEnumOpt
 	}
 	baseSeed := rng.Int63()
 
-	workers := opts.Workers
-	if workers > trials {
-		workers = trials
-	}
 	sweepStart := opts.Phase.phaseStart()
-	if workers <= 1 {
-		// Sequential: one arena, whose intern table is the global dedup, so
-		// already-seen bipartitions cost no allocation at all.
-		a := arenaPool.Get().(*cutArena)
-		a.prepare(n, maxDepth, size)
-		a.recount = opts.LeafRecount
-		out := make([]Cut, 0, 16)
-		for t := 0; t < trials; t++ {
-			a.rng.seed(baseSeed ^ int64(t))
-			a.fresh = a.fresh[:0]
-			a.runTrial(base, size)
-			out = append(out, a.fresh...)
-		}
-		st := a.stats
-		arenaPool.Put(a)
-		opts.Phase.emit(PhaseEvent{Phase: "ks-sweep", Start: sweepStart, Iterations: trials, Items: int(st.steps)})
-		matStart := opts.Phase.phaseStart()
-		sortCuts(out)
-		opts.Phase.emit(PhaseEvent{Phase: "ks-materialise", Start: matStart, Items: len(out)})
-		return out, nil
-	}
-
-	// Parallel: each worker borrows one arena per trial from a shared ring;
-	// an arena dedups across all trials it happens to serve. found[t] holds
-	// the cuts trial t's arena saw for the first time; merging in trial
-	// order then reproduces the sequential first-occurrence order exactly
-	// (the globally first occurrence of a cut is necessarily fresh for
-	// whichever arena runs it).
-	arenas := make(chan *cutArena, workers)
-	for w := 0; w < workers; w++ {
-		a := arenaPool.Get().(*cutArena)
-		a.prepare(n, maxDepth, size)
-		a.recount = opts.LeafRecount
-		arenas <- a
-	}
-	found := make([][]Cut, trials)
-	service.Do(workers, trials, func(t int) {
-		a := <-arenas
+	a := arenaPool.Get().(*cutArena)
+	a.prepare(n, maxDepth, size)
+	a.recount = opts.LeafRecount
+	out := make([]Cut, 0, 16)
+	for t := 0; t < trials; t++ {
 		a.rng.seed(baseSeed ^ int64(t))
 		a.fresh = a.fresh[:0]
 		a.runTrial(base, size)
-		if len(a.fresh) > 0 {
-			found[t] = append([]Cut(nil), a.fresh...)
-		}
-		arenas <- a
-	})
-	var st ksStats
-	for w := 0; w < workers; w++ {
-		a := <-arenas
-		// leaves/steps are per-trial totals, so this sum is independent of
-		// which arena served which trial.
-		st.leaves += a.stats.leaves
-		st.steps += a.stats.steps
-		arenaPool.Put(a)
+		out = append(out, a.fresh...)
 	}
-	opts.Phase.emit(PhaseEvent{Phase: "ks-sweep", Start: sweepStart, Iterations: trials, Items: int(st.steps)})
+	steps := a.steps
+	arenaPool.Put(a)
+	opts.Phase.emit(PhaseEvent{Phase: "ks-sweep", Start: sweepStart, Iterations: trials, Items: int(steps)})
 	matStart := opts.Phase.phaseStart()
-	var merge cutInterner
-	merge.reset(n)
-	var out []Cut
-	for _, fs := range found {
-		for _, c := range fs {
-			if merge.addCut(c) {
-				out = append(out, c)
-			}
-		}
-	}
 	sortCuts(out)
 	opts.Phase.emit(PhaseEvent{Phase: "ks-materialise", Start: matStart, Items: len(out)})
 	return out, nil

@@ -38,9 +38,6 @@ type KECSSOptions struct {
 	// With an input that is not k-edge-connected the solver fails later,
 	// with a less precise error.
 	SkipValidation bool
-	// CutEnum tunes the minimum-cut enumeration of every Aug level (see
-	// CutEnumOptions); results are byte-identical at any setting.
-	CutEnum CutEnumOptions
 	// Phase, if set, receives a PhaseEvent per completed solver phase
 	// (validate, mst, then cut-enum/augment per level, audit for k >= 4).
 	// Nil costs nothing.
@@ -119,7 +116,7 @@ func SolveKECSS(g *graph.Graph, k int, opts KECSSOptions) (*KECSSResult, error) 
 	res.Rounds += level1.Rounds
 
 	for i := 2; i <= k; i++ {
-		ar, err := Aug(g, h, i, AugOptions{Rng: opts.Rng, PhaseLen: opts.PhaseLen, CutEnum: opts.CutEnum, Phase: opts.Phase})
+		ar, err := Aug(g, h, i, AugOptions{Rng: opts.Rng, PhaseLen: opts.PhaseLen, Phase: opts.Phase})
 		if err != nil {
 			return nil, fmt.Errorf("core: Aug_%d: %w", i, err)
 		}
@@ -141,7 +138,7 @@ func SolveKECSS(g *graph.Graph, k int, opts KECSSOptions) (*KECSSResult, error) 
 		ok := sub.IsKEdgeConnected(k)
 		opts.Phase.emit(PhaseEvent{Phase: "audit", Level: k, Start: t0, Items: len(h)})
 		if !ok {
-			return nil, fmt.Errorf("core: %d-ECSS output failed the connectivity audit (cut enumeration missed a minimum cut; raise CutEnumOptions.TrialFactor)", k)
+			return nil, fmt.Errorf("core: %d-ECSS output failed the connectivity audit (cut enumeration missed a minimum cut; rerun with another seed)", k)
 		}
 	}
 	res.Edges = h

@@ -46,8 +46,6 @@ type ThreeECSSOptions struct {
 	// equivalence corpus pins this — only the round accounting and the
 	// wall-clock differ. Used by tests and ablations.
 	ReferenceLabeling bool
-	// MaxIterations caps the loop (0 = generous O(log³ n) default).
-	MaxIterations int
 	// Rebalance enables the §5 tree rebalancing: when the labeling tree of
 	// H ∪ A is tall (ring-like bases drive it to Θ(n)) and a BFS of G
 	// restricted to the current H ∪ A would at least halve it, the engine
@@ -62,11 +60,6 @@ type ThreeECSSOptions struct {
 	// SkipValidation skips the up-front 3-edge-connectivity check of the
 	// input graph (see KECSSOptions.SkipValidation).
 	SkipValidation bool
-	// CutEnum tunes the exact min-cut enumeration used by the correction
-	// path that runs if the w.h.p. label-based termination missed a cut
-	// pair (see CutEnumOptions). The size-2 enumeration is exact, so only
-	// future size >= 3 uses of the knob consume its trial settings.
-	CutEnum CutEnumOptions
 	// Phase, if set, receives a PhaseEvent per completed phase (validate,
 	// base, base-label, augment, correction). Nil costs nothing.
 	Phase PhaseObserver
@@ -202,10 +195,7 @@ func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, a
 	if phaseLen == 0 {
 		phaseLen = 1
 	}
-	maxIters := opts.MaxIterations
-	if maxIters == 0 {
-		maxIters = 20*logn*logn*logn + 200
-	}
+	maxIters := 20*logn*logn*logn + 200
 	var simOpts []congest.Option
 	if opts.Executor != nil {
 		simOpts = append(simOpts, congest.WithExecutor(opts.Executor))
@@ -434,7 +424,7 @@ func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, a
 	// certify, and a genuine cut pair always leaves a positive-CoverCount
 	// candidate while g is 3-edge-connected — see correctTo3EC's test.)
 	t0 = opts.Phase.phaseStart()
-	corrections, err := correctTo3EC(g, selected, &sel, opts.CutEnum)
+	corrections, err := correctTo3EC(g, selected, &sel)
 	if err != nil {
 		return nil, err
 	}
@@ -465,14 +455,14 @@ func labelSubgraphReference(eng *cycles.Incremental, simOpts []congest.Option) (
 // cover one per round trip. Each round trip builds the selected subgraph
 // once and shares it between the connectivity check and the cut
 // enumeration. Returns the number of edges added.
-func correctTo3EC(g *graph.Graph, selected []bool, sel *[]int, enumOpts CutEnumOptions) (int, error) {
+func correctTo3EC(g *graph.Graph, selected []bool, sel *[]int) (int, error) {
 	corrections := 0
 	for {
 		sub, _ := g.SubgraphOf(*sel)
 		if sub.IsKEdgeConnected(3) {
 			return corrections, nil
 		}
-		added, err := coverOneCutPairExactly(g, sub, selected, sel, enumOpts)
+		added, err := coverOneCutPairExactly(g, sub, selected, sel)
 		if err != nil {
 			return corrections, err
 		}
@@ -485,8 +475,8 @@ func correctTo3EC(g *graph.Graph, selected []bool, sel *[]int, enumOpts CutEnumO
 // it 2-edge-connected, so a not-yet-3-connected selection has λ = 2) — and
 // adds the smallest-ID edge of g crossing the first one. Returns the number
 // of edges added (always 1 on success).
-func coverOneCutPairExactly(g *graph.Graph, sub *graph.Graph, selected []bool, sel *[]int, enumOpts CutEnumOptions) (int, error) {
-	cuts, err := EnumerateMinCutsOpts(sub, 2, nil, enumOpts)
+func coverOneCutPairExactly(g *graph.Graph, sub *graph.Graph, selected []bool, sel *[]int) (int, error) {
+	cuts, err := EnumerateMinCuts(sub, 2, nil)
 	if err != nil {
 		return 0, fmt.Errorf("core: enumerating remaining cut pairs: %w", err)
 	}

@@ -176,7 +176,7 @@ func TestCorrectTo3EC(t *testing.T) {
 		sel = append(sel, id)
 		selected[id] = true
 	}
-	added, err := correctTo3EC(g, selected, &sel, CutEnumOptions{})
+	added, err := correctTo3EC(g, selected, &sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestCorrectTo3EC(t *testing.T) {
 		all[i] = i
 		allSel[i] = true
 	}
-	if _, err := correctTo3EC(ring, allSel, &all, CutEnumOptions{}); err == nil {
+	if _, err := correctTo3EC(ring, allSel, &all); err == nil {
 		t.Fatal("expected an error on an under-connected host")
 	}
 }

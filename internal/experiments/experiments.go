@@ -24,32 +24,15 @@ type Scale struct {
 	// trials (0 = GOMAXPROCS). Tables are identical at any worker count;
 	// only wall-clock changes.
 	Workers int
-	// CutEnumWorkers parallelises the size >= 3 min-cut enumeration inside
-	// each k-ECSS/Aug trial (0/1 = sequential). Tables are identical at any
-	// value — the enumerator's trials are deterministically seeded and
-	// merged in trial order.
-	CutEnumWorkers int
-	// ReferenceLabeling drives the 3-ECSS experiments through the retained
-	// from-scratch per-iteration label scan instead of the incremental
-	// labeling engine (see core.ThreeECSSOptions.ReferenceLabeling).
-	// Tables are identical except for the round columns, which then report
-	// fully measured label scans.
-	ReferenceLabeling bool
-}
-
-func (s Scale) cutEnum() core.CutEnumOptions {
-	return core.CutEnumOptions{Workers: s.CutEnumWorkers}
 }
 
 // threeOpts is the 3-ECSS option set every experiment trial uses: per-trial
-// seed, the worker's simulation and labeling arenas, and the Scale's
-// labeling strategy.
-func (s Scale) threeOpts(seed int64, w *service.Worker) core.ThreeECSSOptions {
+// seed and the worker's simulation and labeling arenas.
+func threeOpts(seed int64, w *service.Worker) core.ThreeECSSOptions {
 	return core.ThreeECSSOptions{
-		Rng:               rand.New(rand.NewSource(seed)),
-		Arena:             w.Arena,
-		LabelArena:        w.Labels,
-		ReferenceLabeling: s.ReferenceLabeling,
+		Rng:        rand.New(rand.NewSource(seed)),
+		Arena:      w.Arena,
+		LabelArena: w.Labels,
 	}
 }
 
@@ -266,7 +249,7 @@ func E4(s Scale) (*Table, error) {
 		if i < len(combos) {
 			k, n := combos[i].k, combos[i].n
 			g := randomWeighted(n, k, 2*n, int64(k*1000+n))
-			res, err := core.SolveKECSS(g, k, core.KECSSOptions{Rng: rand.New(rand.NewSource(3)), CutEnum: s.cutEnum()})
+			res, err := core.SolveKECSS(g, k, core.KECSSOptions{Rng: rand.New(rand.NewSource(3))})
 			if err != nil {
 				return nil, fmt.Errorf("E4 k=%d n=%d: %w", k, n, err)
 			}
@@ -284,7 +267,7 @@ func E4(s Scale) (*Table, error) {
 				g.AddEdge(u, v, 1+rng.Int63n(1000))
 			}
 		}
-		res, err := core.SolveKECSS(g, 2, core.KECSSOptions{Rng: rand.New(rand.NewSource(4)), CutEnum: s.cutEnum()})
+		res, err := core.SolveKECSS(g, 2, core.KECSSOptions{Rng: rand.New(rand.NewSource(4))})
 		if err != nil {
 			return nil, fmt.Errorf("E4 ring: %w", err)
 		}
@@ -333,7 +316,7 @@ func E5(s Scale) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("E5 exact: %w", err)
 			}
-			res, err := core.SolveKECSS(g, 2, core.KECSSOptions{Rng: rand.New(rand.NewSource(int64(trial))), CutEnum: s.cutEnum()})
+			res, err := core.SolveKECSS(g, 2, core.KECSSOptions{Rng: rand.New(rand.NewSource(int64(trial)))})
 			if err != nil {
 				return nil, fmt.Errorf("E5 alg: %w", err)
 			}
@@ -343,7 +326,7 @@ func E5(s Scale) (*Table, error) {
 		k := ks[i-small]
 		n := 60
 		g := randomWeighted(n, k, 2*n, int64(k*31))
-		res, err := core.SolveKECSS(g, k, core.KECSSOptions{Rng: rand.New(rand.NewSource(9)), CutEnum: s.cutEnum()})
+		res, err := core.SolveKECSS(g, k, core.KECSSOptions{Rng: rand.New(rand.NewSource(9))})
 		if err != nil {
 			return nil, fmt.Errorf("E5 k=%d: %w", k, err)
 		}
@@ -375,7 +358,7 @@ func E6(s Scale) (*Table, error) {
 		n := sizes[i]
 		g := randomWeighted(n, 2, 2*n, int64(n+3))
 		treeIDs, _ := mst.Kruskal(g)
-		res, err := core.Aug(g, treeIDs, 2, core.AugOptions{Rng: rand.New(rand.NewSource(21)), CutEnum: s.cutEnum()})
+		res, err := core.Aug(g, treeIDs, 2, core.AugOptions{Rng: rand.New(rand.NewSource(21))})
 		if err != nil {
 			return nil, fmt.Errorf("E6 n=%d: %w", n, err)
 		}

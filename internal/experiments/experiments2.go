@@ -51,11 +51,11 @@ func E7(s Scale) (*Table, error) {
 	err := runTrials(s, t, len(cases), func(i int, w *service.Worker) ([][]any, error) {
 		tc := cases[i]
 		g := tc.g
-		res, err := core.Solve3ECSSUnweighted(g, s.threeOpts(7, w))
+		res, err := core.Solve3ECSSUnweighted(g, threeOpts(7, w))
 		if err != nil {
 			return nil, fmt.Errorf("E7 %s: %w", tc.family, err)
 		}
-		gen, err := core.SolveKECSS(g, 3, core.KECSSOptions{Rng: rand.New(rand.NewSource(8)), CutEnum: s.cutEnum()})
+		gen, err := core.SolveKECSS(g, 3, core.KECSSOptions{Rng: rand.New(rand.NewSource(8))})
 		if err != nil {
 			return nil, fmt.Errorf("E7 generic %s: %w", tc.family, err)
 		}
@@ -210,7 +210,7 @@ func E10(s Scale) (*Table, error) {
 		tc := cases[i]
 		g := tc.g
 		cert := baselines.ThurimellaCertificate(g, tc.k)
-		res, err := core.Solve3ECSSUnweighted(g, s.threeOpts(6, w))
+		res, err := core.Solve3ECSSUnweighted(g, threeOpts(6, w))
 		if err != nil {
 			return nil, fmt.Errorf("E10: %w", err)
 		}
@@ -310,7 +310,7 @@ func AblationPhaseLength(s Scale) (*Table, error) {
 	ms := []int{1, 2, 4}
 	err := runTrials(s, t, len(ms), func(i int, _ *service.Worker) ([][]any, error) {
 		m := ms[i]
-		res, err := core.Aug(g, treeIDs, 2, core.AugOptions{Rng: rand.New(rand.NewSource(5)), PhaseLen: m, CutEnum: s.cutEnum()})
+		res, err := core.Aug(g, treeIDs, 2, core.AugOptions{Rng: rand.New(rand.NewSource(5)), PhaseLen: m})
 		if err != nil {
 			return nil, fmt.Errorf("ablation M=%d: %w", m, err)
 		}
@@ -322,9 +322,9 @@ func AblationPhaseLength(s Scale) (*Table, error) {
 	return t, nil
 }
 
-// AblationExecutor compares the sequential, pooled-parallel and sharded
-// executors on the genuinely simulated pieces (identical results, different
-// host parallelism) — wall-clock is measured by the corresponding benchmark.
+// AblationExecutor compares the sequential and pooled-parallel executors on
+// the genuinely simulated pieces (identical results, different host
+// parallelism) — wall-clock is measured by the corresponding benchmark.
 func AblationExecutor(s Scale) (*Table, error) {
 	t := &Table{
 		ID:     "A4",
@@ -345,7 +345,6 @@ func AblationExecutor(s Scale) (*Table, error) {
 	}{
 		{"sequential", congest.SequentialExecutor{}},
 		{"parallel", congest.ParallelExecutor{}},
-		{"sharded", congest.ShardedExecutor{}},
 	}
 	err := runTrials(s, t, len(execs), func(i int, w *service.Worker) ([][]any, error) {
 		tc := execs[i]

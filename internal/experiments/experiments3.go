@@ -235,9 +235,9 @@ func E14(s Scale) (*Table, error) {
 }
 
 func coreSolve3Weighted(g *graph.Graph, seed int64, w *service.Worker, s Scale) (*core.ThreeECSSResult, error) {
-	return core.Solve3ECSSWeighted(g, s.threeOpts(seed, w))
+	return core.Solve3ECSSWeighted(g, threeOpts(seed, w))
 }
 
 func coreSolve3Unweighted(g *graph.Graph, seed int64, w *service.Worker, s Scale) (*core.ThreeECSSResult, error) {
-	return core.Solve3ECSSUnweighted(g, s.threeOpts(seed, w))
+	return core.Solve3ECSSUnweighted(g, threeOpts(seed, w))
 }

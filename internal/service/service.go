@@ -163,62 +163,6 @@ func (p *Pool) Close() {
 	p.done.Wait() // every Close caller returns only once the workers exit
 }
 
-// Do executes fn(i) for every i in 0..n-1 across up to `workers` transient
-// goroutines and returns when all calls have finished. It is the
-// lightweight, poolless sibling of Pool.Run for parallel sections inside a
-// task (a task must not call Run on its own pool, but may call Do): indices
-// are claimed dynamically through a shared cursor, so fn must derive all
-// per-index state from i — never from goroutine identity — to keep results
-// schedule-independent. workers <= 1 (or n <= 1) runs the loop inline on the
-// caller's goroutine with no synchronisation at all.
-//
-// If any fn panics, the remaining indices are abandoned and Do panics on
-// the caller's goroutine with a message describing the first recovered
-// value (stringified with its index, exactly like Run — the original panic
-// value is not preserved).
-func Do(workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var failed atomic.Value
-	var wg sync.WaitGroup
-	body := func() {
-		defer wg.Done()
-		for failed.Load() == nil {
-			i := int(cursor.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						failed.CompareAndSwap(nil, fmt.Sprintf("index %d: %v", i, r))
-					}
-				}()
-				fn(i)
-			}()
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go body()
-	}
-	wg.Wait()
-	if v := failed.Load(); v != nil {
-		panic(fmt.Sprintf("service: Do worker panicked: %v", v))
-	}
-}
-
 func (p *Pool) loop(w *Worker) {
 	defer p.done.Done()
 	for b := range p.jobs {

@@ -184,41 +184,3 @@ func TestPoolCloseConcurrentWithRun(t *testing.T) {
 		p.Close()
 	}
 }
-
-func TestDoRunsEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 4, 9} {
-		const n = 100
-		var hits [n]atomic.Int64
-		Do(workers, n, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if hits[i].Load() != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, hits[i].Load())
-			}
-		}
-	}
-	Do(4, 0, func(int) { t.Fatal("n=0 must run nothing") })
-}
-
-func TestDoInlineWhenSequential(t *testing.T) {
-	// workers <= 1 must run on the caller's goroutine, in order.
-	var order []int
-	Do(1, 5, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("sequential Do out of order: %v", order)
-		}
-	}
-}
-
-func TestDoPanicPropagates(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("Do must re-panic on the caller's goroutine")
-		}
-	}()
-	Do(4, 50, func(i int) {
-		if i == 13 {
-			panic("boom")
-		}
-	})
-}

@@ -40,11 +40,6 @@ type Options struct {
 	// cost-effectiveness instead of the power-of-2 rounded value
 	// (an ablation; the approximation proof needs rounding).
 	DisableRounding bool
-	// SegmentTarget overrides the √n decomposition parameter (0 = default).
-	SegmentTarget int
-	// MaxIterations bounds the main loop; 0 means 40·(log n)² + 100, far
-	// above the w.h.p. bound of Lemma 3.11.
-	MaxIterations int
 }
 
 // Result is the outcome of the augmentation.
@@ -75,17 +70,12 @@ func Augment(g *graph.Graph, tr *tree.Rooted, opts Options) (*Result, error) {
 		voteDenom = 8
 	}
 	n := g.N()
-	target := opts.SegmentTarget
-	if target == 0 {
-		target = segments.DefaultTarget(n)
-	}
-	maxIters := opts.MaxIterations
-	if maxIters == 0 {
-		l := int(rounds.Log2Ceil(n)) + 1
-		maxIters = 40*l*l + 100
-	}
+	// The main loop is bounded far above the w.h.p. O(log² n) iterations
+	// of Lemma 3.11.
+	l := int(rounds.Log2Ceil(n)) + 1
+	maxIters := 40*l*l + 100
 
-	dec, err := segments.Decompose(g, tr, target)
+	dec, err := segments.Decompose(g, tr, segments.DefaultTarget(n))
 	if err != nil {
 		return nil, fmt.Errorf("tap: decomposition failed: %w", err)
 	}

@@ -93,17 +93,15 @@ type TAPResult = tap.Result
 func NewGraph(n int) *Graph { return graph.New(n) }
 
 type config struct {
-	seed            int64
-	seedSet         bool
-	executor        congest.Executor
-	simulateMST     bool
-	voteDenom       int64
-	labelBits       int
-	phaseLen        int
-	cutEnumWorkers  int
-	cutEnumTrialFac int
-	refLabeling     bool
-	phase           core.PhaseObserver
+	seed        int64
+	seedSet     bool
+	executor    congest.Executor
+	simulateMST bool
+	voteDenom   int64
+	labelBits   int
+	phaseLen    int
+	refLabeling bool // tests only: drive 3-ECSS through the reference label scan
+	phase       core.PhaseObserver
 }
 
 // Option configures the solvers.
@@ -121,14 +119,6 @@ func WithSeed(seed int64) Option {
 // behaviour differs (see the executor ablation benchmark).
 func WithParallelExecutor() Option {
 	return func(c *config) { c.executor = congest.ParallelExecutor{} }
-}
-
-// WithShardedExecutor runs the CONGEST simulations on the same persistent
-// worker pool as WithParallelExecutor, but with one contiguous vertex shard
-// per worker — friendlier to caches when per-node work is uniform. Results
-// are identical to the other executors.
-func WithShardedExecutor() Option {
-	return func(c *config) { c.executor = congest.ShardedExecutor{} }
 }
 
 // WithSimulatedMST computes MSTs by the genuinely message-passing Borůvka
@@ -154,37 +144,6 @@ func WithLabelBits(b int) Option {
 // "double p every M·log n iterations" (default 1).
 func WithPhaseLength(m int) Option {
 	return func(c *config) { c.phaseLen = m }
-}
-
-// WithReferenceLabeling makes the 3-ECSS solvers re-run the full
-// distributed cycle-space label scan over H ∪ A on every iteration of the
-// §5 augmentation loop — the retained from-scratch path — instead of the
-// default incremental engine, which labels the base once and then only
-// XORs fresh labels for newly activated edges along their tree paths.
-// Results are identical either way (the equivalence corpus pins this);
-// only wall-clock and the measured-vs-charged round split differ. Only
-// affects Solve3ECSSUnweighted and Solve3ECSSWeighted.
-func WithReferenceLabeling() Option {
-	return func(c *config) { c.refLabeling = true }
-}
-
-// WithCutEnumWorkers spreads the Karger–Stein min-cut enumeration trials
-// inside SolveKECSS's Aug levels (sizes >= 3) over n goroutines. Results
-// are byte-identical at any setting — trial t always draws from its own
-// RNG seeded baseSeed XOR t and trials merge in trial order — so this
-// trades only wall-clock, never reproducibility. 0 or 1 keeps the
-// enumeration on the calling goroutine (the default; pool sweeps are
-// already parallel across tasks and should not oversubscribe).
-func WithCutEnumWorkers(n int) Option {
-	return func(c *config) { c.cutEnumWorkers = n }
-}
-
-// WithCutEnumTrialFactor multiplies the enumeration's default Θ(log²n)
-// Karger–Stein trial count (default 1). The default is chosen for w.h.p.
-// completeness; raise it to buy an even lower cut-miss probability with
-// CPU.
-func WithCutEnumTrialFactor(f int) Option {
-	return func(c *config) { c.cutEnumTrialFac = f }
 }
 
 // PhaseEvent reports one completed solver phase (validation, MST, base
@@ -244,10 +203,6 @@ func (c config) twoOpts(env solveEnv) core.TwoECSSOptions {
 	}
 }
 
-func (c config) cutEnum() core.CutEnumOptions {
-	return core.CutEnumOptions{Workers: c.cutEnumWorkers, TrialFactor: c.cutEnumTrialFac}
-}
-
 func (c config) kecssOpts(env solveEnv) core.KECSSOptions {
 	return core.KECSSOptions{
 		Rng:            env.rng,
@@ -256,7 +211,6 @@ func (c config) kecssOpts(env solveEnv) core.KECSSOptions {
 		Executor:       c.executor,
 		Arena:          env.arena,
 		SkipValidation: env.skipValidation,
-		CutEnum:        c.cutEnum(),
 		Phase:          c.phase,
 	}
 }
@@ -271,7 +225,6 @@ func (c config) threeOpts(env solveEnv) core.ThreeECSSOptions {
 		LabelArena:        env.labels,
 		ReferenceLabeling: c.refLabeling,
 		SkipValidation:    env.skipValidation,
-		CutEnum:           c.cutEnum(),
 		Phase:             c.phase,
 	}
 }

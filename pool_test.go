@@ -157,7 +157,7 @@ func TestPool3ECSSLabelingDeterministic(t *testing.T) {
 	if inc1 != inc4 {
 		t.Fatal("incremental labeling sweep differs at workers=1 vs 4")
 	}
-	ref4 := sweep(4, WithReferenceLabeling())
+	ref4 := sweep(4, withReferenceLabeling())
 	if inc1 != ref4 {
 		t.Fatal("reference labeling changed sweep decisions")
 	}
