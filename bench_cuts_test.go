@@ -9,7 +9,8 @@ package kecss
 //
 // Harary(k, n) is used as the instance family because its edge connectivity
 // is exactly k by construction, which is the precondition of
-// EnumerateMinCuts(g, k).
+// EnumerateMinCuts(g, k). Size 3 runs the exact cycle-space label
+// enumerator, sizes 4–5 Karger–Stein.
 
 import (
 	"fmt"
@@ -69,7 +70,7 @@ func BenchmarkMicro_EdgeConnectivityUpTo(b *testing.B) {
 // BenchmarkMicro_SolveKECSSEndToEnd is the end-to-end solve bench for the
 // cut-enumeration-dominated workloads: k=3 (3-ECSS through the Aug
 // framework, size-2 cut enumeration) and k=4 (the first k whose Aug level
-// enumerates size-3 cuts by contraction).
+// enumerates size-3 cuts, from cycle-space labels).
 func BenchmarkMicro_SolveKECSSEndToEnd(b *testing.B) {
 	cases := []struct{ k, n int }{
 		{3, 96},

@@ -43,11 +43,14 @@ type ceilingList []ceiling
 
 func (c *ceilingList) String() string { return fmt.Sprint(*c) }
 
+// Set splits at the last '=', since sub-benchmark names contain '=' too
+// (BenchmarkX/size=3=5e9).
 func (c *ceilingList) Set(v string) error {
-	sub, maxStr, ok := strings.Cut(v, "=")
-	if !ok {
+	i := strings.LastIndexByte(v, '=')
+	if i < 0 {
 		return fmt.Errorf("want substring=ceiling, got %q", v)
 	}
+	sub, maxStr := v[:i], v[i+1:]
 	max, err := strconv.ParseFloat(maxStr, 64)
 	if err != nil {
 		return fmt.Errorf("bad ceiling in %q: %v", v, err)

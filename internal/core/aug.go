@@ -20,8 +20,9 @@ type AugOptions struct {
 	// experiment).
 	PhaseLen int
 	// Phase, if set, receives a cut-enum and an augment PhaseEvent for this
-	// level (Level = k), and the ks-sweep / ks-materialise events of its
-	// cut enumeration. Nil costs nothing.
+	// level (Level = k), and, from level 5 on, the ks-sweep /
+	// ks-materialise events of its Karger–Stein cut enumeration. Nil costs
+	// nothing.
 	Phase PhaseObserver
 }
 

@@ -7,11 +7,14 @@
 //
 // Every Aug_k level must cover every minimum cut of its current subgraph H
 // (Definition 2.1). EnumerateMinCuts produces them as canonical vertex
-// bipartitions: exact enumerators handle sizes 1 (bridges) and 2 (cut
-// pairs); size >= 3 runs recursive Karger–Stein contraction — contract to
-// floor(n/√2) supernodes (see ksTarget for why the analysis' ⌈1+n/√2⌉ is
-// deliberately rounded down), recurse twice on the shared prefix, and at
-// <= 6 supernodes enumerate every bipartition of the contracted graph
+// bipartitions. Sizes 1–3 are enumerated exactly: bridges, cut pairs, and
+// for size 3 the cycle-space labels of §5 (cutlabels.go) — every 3-edge
+// cut XORs to 0 under random labels, so one table lookup per (tree edge,
+// edge) pair finds every candidate triple, and a component scan confirms
+// each one. Size >= 4 runs recursive Karger–Stein contraction — contract
+// to floor(n/√2) supernodes (see ksTarget for why the analysis' ⌈1+n/√2⌉
+// is deliberately rounded down), recurse twice on the shared prefix, and
+// at <= 6 supernodes enumerate every bipartition of the contracted graph
 // exactly. A fixed minimum cut survives one such trial with probability
 // Ω(1/log n), so Θ(log²n) trials enumerate all minimum cuts w.h.p., versus
 // the Θ(n²·log n) flat contractions of EnumerateMinCutsReference (retained
@@ -19,16 +22,19 @@
 //
 // # Per-trial seeds
 //
-// Contraction trial t draws from a private RNG seeded baseSeed XOR t
-// (baseSeed is one Int63 from the caller's RNG), and the found cuts are
-// sorted canonically, so the output depends only on the graph, the cut
-// size and that one draw.
+// Size >= 3 enumeration draws one Int63 from the caller's RNG, after the
+// λ check. Size 3 seeds its labels with it; the labels decide only the
+// running time, never the output. Contraction trial t draws from a private
+// RNG seeded baseSeed XOR t, where baseSeed is that draw. The found cuts
+// are sorted canonically, so the output depends only on the graph, the cut
+// size and that one draw, and Aug's sampling consumes the same stream
+// whichever enumerator ran.
 //
 // # Arena ownership
 //
-// All trial scratch (per-level union-find, relabelling and contracted edge
-// buffers, side-bitset buffers, the per-trial RNG and intern tables) lives
-// in a cutArena recycled through a package sync.Pool. An arena is owned by
+// All Karger–Stein trial scratch (per-level union-find, relabelling and
+// contracted edge buffers, side-bitset buffers, the per-trial RNG and
+// intern tables) lives in a cutArena recycled through a package sync.Pool. An arena is owned by
 // exactly one goroutine at a time; materialised cut bitsets are carved
 // from blocks that the arena detaches on reset, so cuts returned to
 // callers keep sole ownership of their memory after the arena is recycled.
@@ -39,7 +45,8 @@
 // compare the underlying data on hash collision — inside trials over the
 // sorted crossing-edge signature (O(λ) per probe; for a minimum cut the λ
 // crossing edges determine the bipartition), in the size-2 exact
-// enumerator over the bipartition bitset. Aug's coverage
+// enumerator over the bipartition bitset. The size-3 enumerator needs no
+// dedup: distinct confirmed triples are distinct bipartitions. Aug's coverage
 // bookkeeping then works on dense cut indices (covered bitmaps, candidate
 // cut-index lists) — no string keys on any hot path.
 //

@@ -113,24 +113,25 @@ func sortCuts(cuts []Cut) {
 type cutStore struct {
 	words int
 	block []uint64
+	next  int // words in the next block
 }
 
-// cutBlockWords sizes the backing blocks interned bitsets are carved from.
+// cutBlockWords caps the backing blocks interned bitsets are carved from.
 const cutBlockWords = 4096
 
 func (cs *cutStore) reset(n int) {
 	cs.words = cutWords(n)
 	cs.block = nil
+	cs.next = min(16*cs.words, max(cutBlockWords, cs.words))
 }
 
 // alloc returns a Cut owning a copy of side, carved from the current block.
+// Blocks start at 16 cuts and double up to cutBlockWords, so an enumeration
+// that finds few cuts does not pay for a full block.
 func (cs *cutStore) alloc(side []uint64) Cut {
 	if len(cs.block) < cs.words {
-		bw := cutBlockWords
-		if bw < cs.words {
-			bw = cs.words
-		}
-		cs.block = make([]uint64, bw)
+		cs.block = make([]uint64, cs.next)
+		cs.next = min(2*cs.next, max(cutBlockWords, cs.words))
 	}
 	stored := cs.block[:cs.words:cs.words]
 	cs.block = cs.block[cs.words:]
@@ -183,35 +184,40 @@ func (it *cutInterner) add(side []uint64) (Cut, bool) {
 }
 
 // CutEnumOptions tunes EnumerateMinCutsOpts. The zero value is the default:
-// the default Karger–Stein repetition count, and λ(h) verified by a capped
-// max-flow pass. The exact enumerators for sizes 1–2 ignore every field.
+// λ(h) is checked by the enumerator itself, and Karger–Stein runs its full
+// repetition count. The exact enumerators for sizes 1–3 read only
+// KnownConnectivity; the other fields concern Karger–Stein (size >= 4).
 type CutEnumOptions struct {
 	// KnownConnectivity > 0 is the caller's promise that λ(h) equals this
-	// value, letting the enumerator skip its own capped max-flow
-	// verification (an Aug level has just computed the connectivity of the
-	// subgraph it augments). A cheap min-degree assertion still guards
-	// against contradictory promises.
+	// value, letting the enumerator skip its own λ check (an Aug level has
+	// just computed the connectivity of the subgraph it augments). A cheap
+	// min-degree assertion still guards against contradictory promises.
+	// Sizes 1–2 ignore it.
 	KnownConnectivity int
-	// LeafRecount switches the size >= 3 base-case enumeration back to the
-	// per-mask crossing recount instead of the gray-code sweep. The two
-	// visit the same bipartitions and produce identical output (pinned by
-	// the equivalence tests); the recount survives as the oracle.
+	// LeafRecount switches the Karger–Stein base-case enumeration (size
+	// >= 4) back to the per-mask crossing recount instead of the gray-code
+	// sweep. The two visit the same bipartitions and produce identical
+	// output (pinned by the equivalence tests); the recount survives as the
+	// oracle.
 	LeafRecount bool
-	// MaxTrials caps the Karger–Stein repetition count,
-	// for tests that compare leaf strategies on graphs too large for the
-	// full w.h.p. schedule. 0 means no cap. Capped runs may miss cuts and
-	// must not be used for solving.
+	// MaxTrials caps the Karger–Stein repetition count (size >= 4), for
+	// tests that compare leaf strategies on graphs too large for the full
+	// w.h.p. schedule. 0 means no cap. Capped runs may miss cuts and must
+	// not be used for solving.
 	MaxTrials int
 	// Phase, if set, receives "ks-sweep" and "ks-materialise" PhaseEvents
-	// from the size >= 3 contraction enumeration. Nil costs nothing.
+	// from the Karger–Stein enumeration (size >= 4). The exact size-3 path
+	// emits none. Nil costs nothing.
 	Phase PhaseObserver
 }
 
 // EnumerateMinCuts returns every cut of size exactly `size` of the connected
 // graph h, where size must equal h's edge connectivity (the cuts the Aug_k
-// step must cover). It dispatches to exact enumerators for sizes 1 and 2
-// (bridges, cut pairs) and to recursive Karger–Stein contraction for
-// size >= 3. rng drives the contraction and is only used for size >= 3.
+// step must cover). It dispatches to exact enumerators for sizes 1 (bridges),
+// 2 (cut pairs) and 3 (cycle-space labels, see cutlabels.go), and to
+// recursive Karger–Stein contraction for size >= 4. rng seeds the size-3
+// labels (one Int63 draw) and drives the contraction; it is unused for
+// sizes 1–2. An empty result for size >= 3 means λ(h) > size.
 func EnumerateMinCuts(h *graph.Graph, size int, rng *rand.Rand) ([]Cut, error) {
 	return EnumerateMinCutsOpts(h, size, rng, CutEnumOptions{})
 }
@@ -229,18 +235,64 @@ func EnumerateMinCutsOpts(h *graph.Graph, size int, rng *rand.Rand, opts CutEnum
 		return cutsFromBridges(h), nil
 	case size == 2:
 		return cutsFromCutPairs(h)
+	case size == 3:
+		if rng == nil {
+			return nil, fmt.Errorf("core: size-3 enumeration requires rng")
+		}
+		if ok, err := hasMinCutsOfSize(h, size, opts); !ok {
+			return nil, err
+		}
+		// One Int63 draw seeds the labels, as one seeds the contraction
+		// trials: the caller's stream advances the same way whichever
+		// enumerator runs.
+		return cutsByLabels(h, rng.Int63()), nil
 	default:
 		return cutsByContraction(h, size, rng, opts)
 	}
 }
 
-// componentsSkipping labels the connected components of h with up to two
-// edges (skip1, skip2; pass -1 for none) ignored, writing component indices
-// into comp (length h.N()) and using queue (capacity >= h.N()) as BFS
-// scratch. It returns the component count. Replaces the per-exclusion
+// hasMinCutsOfSize checks the size >= 3 precondition λ(h) == size on a
+// connected h. It trusts opts.KnownConnectivity (after a min-degree sanity
+// check) and otherwise measures λ: for size 3 exactly from bridges and cut
+// pairs, so λ >= 3 is all it learns and the enumeration itself tells 3 from
+// more; for larger sizes by one capped max-flow pass. It reports false with
+// a nil error when λ > size (no cuts of that size), and an error when λ <
+// size or the promise is contradicted.
+func hasMinCutsOfSize(h *graph.Graph, size int, opts CutEnumOptions) (bool, error) {
+	lambda := opts.KnownConnectivity
+	switch {
+	case lambda > 0:
+		// The caller's promise.
+	case size != 3:
+		lambda = h.EdgeConnectivityUpTo(size + 1)
+	case len(h.Bridges()) > 0:
+		lambda = 1
+	case len(h.CutPairs()) > 0:
+		lambda = 2
+	default:
+		lambda = 3 // or more: an empty enumeration tells
+	}
+	if lambda > size {
+		return false, nil // no cuts of this size: already (size+1)-connected
+	}
+	if lambda < size {
+		return false, fmt.Errorf("core: graph has connectivity %d < requested cut size %d", lambda, size)
+	}
+	if opts.KnownConnectivity > 0 {
+		if d := h.MinDegree(); d < size {
+			return false, fmt.Errorf("core: KnownConnectivity %d contradicts min degree %d", lambda, d)
+		}
+	}
+	return true, nil
+}
+
+// componentsSkipping labels the connected components of h with up to three
+// edges (skip1, skip2, skip3; pass -1 for none) ignored, writing component
+// indices into comp (length h.N()) and using queue (capacity >= h.N()) as
+// BFS scratch. It returns the component count. Replaces the per-exclusion
 // SubgraphWithout + Components pattern: no subgraph or exclusion map is
 // built, and the caller's scratch is reused across scans.
-func componentsSkipping(h *graph.Graph, comp, queue []int, skip1, skip2 int) int {
+func componentsSkipping(h *graph.Graph, comp, queue []int, skip1, skip2, skip3 int) int {
 	for v := range comp {
 		comp[v] = -1
 	}
@@ -254,7 +306,7 @@ func componentsSkipping(h *graph.Graph, comp, queue []int, skip1, skip2 int) int
 		for qi := 0; qi < len(queue); qi++ {
 			v := queue[qi]
 			for _, a := range h.Adj(v) {
-				if a.Edge == skip1 || a.Edge == skip2 || comp[a.To] != -1 {
+				if a.Edge == skip1 || a.Edge == skip2 || a.Edge == skip3 || comp[a.To] != -1 {
 					continue
 				}
 				comp[a.To] = count
@@ -264,6 +316,21 @@ func componentsSkipping(h *graph.Graph, comp, queue []int, skip1, skip2 int) int
 		count++
 	}
 	return count
+}
+
+// sideOf writes into side, and returns it, the bitset of component 1 of a
+// two-component componentsSkipping labelling. Vertex 0 seeds the first BFS,
+// so comp[0] == 0 and the side is already canonically oriented.
+func sideOf(comp []int, side []uint64) []uint64 {
+	for i := range side {
+		side[i] = 0
+	}
+	for v, cv := range comp {
+		if cv == 1 {
+			side[v/64] |= 1 << uint(v%64)
+		}
+	}
+	return side
 }
 
 // cutsFromBridges converts each bridge into its bipartition with one
@@ -278,7 +345,7 @@ func cutsFromBridges(h *graph.Graph) []Cut {
 	queue := make([]int, 0, n)
 	out := make([]Cut, 0, len(bridges))
 	for _, b := range bridges {
-		componentsSkipping(h, comp, queue, b, -1)
+		componentsSkipping(h, comp, queue, b, -1, -1)
 		e := h.Edge(b)
 		side := comp[e.U]
 		out = append(out, newCut(n, func(v int) bool { return comp[v] == side }))
@@ -301,21 +368,11 @@ func cutsFromCutPairs(h *graph.Graph) ([]Cut, error) {
 	itn.reset(n)
 	out := make([]Cut, 0, len(pairs))
 	for _, p := range pairs {
-		if count := componentsSkipping(h, comp, queue, p.A, p.B); count != 2 {
+		if count := componentsSkipping(h, comp, queue, p.A, p.B, -1); count != 2 {
 			// A minimum cut always splits into exactly two components.
 			return nil, fmt.Errorf("core: cut pair %v split graph into %d components", p, count)
 		}
-		// Vertex 0 seeds the first BFS, so comp[0] == 0 and the side
-		// {v : comp[v] == 1} is already canonically oriented.
-		for i := range side {
-			side[i] = 0
-		}
-		for v, cv := range comp {
-			if cv == 1 {
-				side[v/64] |= 1 << uint(v%64)
-			}
-		}
-		if c, isNew := itn.add(side); isNew {
+		if c, isNew := itn.add(sideOf(comp, side)); isNew {
 			out = append(out, c)
 		}
 	}

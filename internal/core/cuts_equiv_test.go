@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/mst"
 )
 
 // multiplyEdges returns g with every edge duplicated `times` times, which
@@ -24,43 +25,67 @@ func multiplyEdges(g *graph.Graph, times int) *graph.Graph {
 }
 
 // equivCase is one corpus instance: a generator-family representative whose
-// edge connectivity (pinned by `lambda`) lies in the contraction range
-// {3,4,5}.
+// edge connectivity (pinned by `lambda`) lies in {3,4,5}. A large case
+// takes the flat-contraction reference seconds to tens of seconds, so its
+// reference comparison is skipped under -short.
 type equivCase struct {
 	name   string
 	lambda int
+	large  bool
 	build  func() *graph.Graph
+}
+
+// level4H returns the subgraph H that SolveKECSS's level 4 augments on a
+// kecss-cuts-shaped input (k=4, n=128, 256 extra edges, weights up to 100):
+// the MST plus the Aug_2 and Aug_3 additions, λ(H) = 3.
+func level4H(seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := graph.RandomKConnected(128, 4, 256, rng, graph.RandomWeights(rng, 100))
+	h, _ := mst.Kruskal(g)
+	for k := 2; k <= 3; k++ {
+		ar, err := Aug(g, h, k, AugOptions{Rng: rng})
+		if err != nil {
+			panic(err)
+		}
+		h = append(h, ar.Added...)
+	}
+	hs, _ := g.SubgraphOf(h)
+	return hs
 }
 
 func equivCorpus() []equivCase {
 	u := graph.UnitWeights()
 	return []equivCase{
-		{"harary/k=3", 3, func() *graph.Graph { return graph.Harary(3, 14, u) }},
-		{"harary/k=4", 4, func() *graph.Graph { return graph.Harary(4, 14, u) }},
-		{"harary/k=5", 5, func() *graph.Graph { return graph.Harary(5, 14, u) }},
-		{"cycle-x2/k=4", 4, func() *graph.Graph { return multiplyEdges(graph.Cycle(12, u), 2) }},
-		{"circulant/k=4", 4, func() *graph.Graph { return graph.Circulant(13, 2, u) }},
-		{"randomk/k=4a", 4, func() *graph.Graph {
+		{"harary/k=3", 3, false, func() *graph.Graph { return graph.Harary(3, 14, u) }},
+		{"harary/k=4", 4, false, func() *graph.Graph { return graph.Harary(4, 14, u) }},
+		{"harary/k=5", 5, false, func() *graph.Graph { return graph.Harary(5, 14, u) }},
+		{"cycle-x2/k=4", 4, false, func() *graph.Graph { return multiplyEdges(graph.Cycle(12, u), 2) }},
+		{"circulant/k=4", 4, false, func() *graph.Graph { return graph.Circulant(13, 2, u) }},
+		{"randomk/k=4a", 4, false, func() *graph.Graph {
 			return graph.RandomKConnected(14, 3, 6, rand.New(rand.NewSource(11)), u)
 		}},
-		{"randomk/k=4b", 4, func() *graph.Graph {
+		{"randomk/k=4b", 4, false, func() *graph.Graph {
 			return graph.RandomKConnected(16, 4, 2, rand.New(rand.NewSource(7)), u)
 		}},
-		{"grid-x2/k=4", 4, func() *graph.Graph { return multiplyEdges(graph.Grid(3, 5, u), 2) }},
-		{"cliquechain/k=3", 3, func() *graph.Graph { return graph.CliqueChain(3, 5, 3, u) }},
-		{"cliquechain/k=4", 4, func() *graph.Graph { return graph.CliqueChain(3, 6, 4, u) }},
-		{"cliquechain/k=5", 5, func() *graph.Graph { return graph.CliqueChain(2, 6, 5, u) }},
-		{"geometric/k=3", 3, func() *graph.Graph {
+		{"grid-x2/k=4", 4, false, func() *graph.Graph { return multiplyEdges(graph.Grid(3, 5, u), 2) }},
+		{"cliquechain/k=3", 3, false, func() *graph.Graph { return graph.CliqueChain(3, 5, 3, u) }},
+		{"cliquechain/k=4", 4, false, func() *graph.Graph { return graph.CliqueChain(3, 6, 4, u) }},
+		{"cliquechain/k=5", 5, false, func() *graph.Graph { return graph.CliqueChain(2, 6, 5, u) }},
+		{"geometric/k=3", 3, false, func() *graph.Graph {
 			return graph.RandomGeometric(16, 0.30, 2, rand.New(rand.NewSource(2)))
 		}},
-		{"geometric/k=5", 5, func() *graph.Graph {
+		{"geometric/k=5", 5, false, func() *graph.Graph {
 			return graph.RandomGeometric(16, 0.35, 3, rand.New(rand.NewSource(1)))
 		}},
-		{"chunglu/k=5", 5, func() *graph.Graph {
+		{"chunglu/k=5", 5, false, func() *graph.Graph {
 			return graph.ChungLu(16, 2.5, 6, 3, rand.New(rand.NewSource(1)), u)
 		}},
-		{"fattree-x2/k=4", 4, func() *graph.Graph { return multiplyEdges(graph.FatTree(4, u), 2) }},
-		{"paperfig2-x2/k=4", 4, func() *graph.Graph { return multiplyEdges(graph.PaperFigure2Graph(), 2) }},
+		{"fattree-x2/k=4", 4, false, func() *graph.Graph { return multiplyEdges(graph.FatTree(4, u), 2) }},
+		{"paperfig2-x2/k=4", 4, false, func() *graph.Graph { return multiplyEdges(graph.PaperFigure2Graph(), 2) }},
+		{"triple-edge/k=3", 3, false, tripleEdge},
+		{"harary/k=3/n=255", 3, true, func() *graph.Graph { return graph.Harary(3, 255, u) }},
+		{"kecss-cuts-H/seed=1", 3, true, func() *graph.Graph { return level4H(1) }},
+		{"kecss-cuts-H/seed=2", 3, true, func() *graph.Graph { return level4H(2) }},
 	}
 }
 
@@ -72,31 +97,51 @@ func cutKeySet(cuts []Cut) map[string]bool {
 	return m
 }
 
-// TestEnumerateMinCutsEquivalenceCorpus asserts that the Karger–Stein
-// enumerator returns exactly the same cut sets (canonical bipartitions) as
-// the retained flat-Karger reference across all ten generator families at
-// sizes 3–5.
+// TestEnumerateMinCutsEquivalenceCorpus asserts that EnumerateMinCuts
+// returns exactly the same cut sets (canonical bipartitions) as the
+// retained flat-Karger reference across all ten generator families at
+// sizes 3–5. On every λ=3 case it also pins the exact label path to
+// Karger–Stein called directly: both sort canonically, so the slices must
+// be identical.
 func TestEnumerateMinCutsEquivalenceCorpus(t *testing.T) {
 	for _, tc := range equivCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.large {
+				t.Parallel()
+			}
 			g := tc.build()
 			if lam := g.EdgeConnectivity(); lam != tc.lambda {
 				t.Fatalf("corpus drift: λ=%d, case pins %d", lam, tc.lambda)
 			}
+			got, err := EnumerateMinCuts(g, tc.lambda, rand.New(rand.NewSource(202)))
+			if err != nil {
+				t.Fatalf("enumerate: %v", err)
+			}
+			if len(got) == 0 {
+				t.Fatal("no cuts found")
+			}
+			if tc.lambda == 3 {
+				ks, err := cutsByContraction(g, 3, rand.New(rand.NewSource(202)), CutEnumOptions{})
+				if err != nil {
+					t.Fatalf("karger–stein: %v", err)
+				}
+				if !reflect.DeepEqual(got, ks) {
+					t.Fatalf("label path and karger–stein differ: %d vs %d cuts", len(got), len(ks))
+				}
+			}
+			if tc.large && testing.Short() {
+				return
+			}
 			ref, err := EnumerateMinCutsReference(g, tc.lambda, rand.New(rand.NewSource(101)))
 			if err != nil {
 				t.Fatalf("reference: %v", err)
-			}
-			got, err := EnumerateMinCuts(g, tc.lambda, rand.New(rand.NewSource(202)))
-			if err != nil {
-				t.Fatalf("karger–stein: %v", err)
 			}
 			refSet, gotSet := cutKeySet(ref), cutKeySet(got)
 			if len(ref) != len(refSet) || len(got) != len(gotSet) {
 				t.Fatalf("duplicate cuts: ref %d/%d, got %d/%d", len(ref), len(refSet), len(got), len(gotSet))
 			}
 			if !reflect.DeepEqual(refSet, gotSet) {
-				t.Fatalf("cut sets differ: reference %d cuts, karger–stein %d cuts", len(refSet), len(gotSet))
+				t.Fatalf("cut sets differ: reference %d cuts, enumerate %d cuts", len(refSet), len(gotSet))
 			}
 		})
 	}
@@ -218,7 +263,7 @@ func TestComponentsSkipping(t *testing.T) {
 			}
 			sub, _ := g.SubgraphWithout(skip)
 			wantComp, wantCount := sub.Components()
-			gotCount := componentsSkipping(g, comp, queue, a, b)
+			gotCount := componentsSkipping(g, comp, queue, a, b, -1)
 			if gotCount != wantCount {
 				t.Fatalf("skip{%d,%d}: %d components, want %d", a, b, gotCount, wantCount)
 			}
@@ -231,15 +276,20 @@ func TestComponentsSkipping(t *testing.T) {
 	}
 }
 
-// TestEnumerateMinCutsTwoVertexMultigraph: the smallest size >= 3 instance
-// (two vertices, three parallel edges) exercises the base case without any
-// contraction.
-func TestEnumerateMinCutsTwoVertexMultigraph(t *testing.T) {
+// tripleEdge is the smallest λ=3 instance: two vertices, three parallel
+// edges.
+func tripleEdge() *graph.Graph {
 	g := graph.New(2)
 	for i := 0; i < 3; i++ {
 		g.AddEdge(0, 1, 1)
 	}
-	cuts, err := EnumerateMinCuts(g, 3, rand.New(rand.NewSource(1)))
+	return g
+}
+
+// TestEnumerateMinCutsTwoVertexMultigraph: on the smallest size >= 3
+// instance the spanning tree is one edge and both others cover it.
+func TestEnumerateMinCutsTwoVertexMultigraph(t *testing.T) {
+	cuts, err := EnumerateMinCuts(tripleEdge(), 3, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,12 +352,12 @@ func TestGrayCodeMatchesRecountLarge(t *testing.T) {
 	}
 	u := graph.UnitWeights()
 
+	// Size 3 is enumerated by cycle-space labels, so this ring calls
+	// Karger–Stein directly to reach its leaves.
 	t.Run("harary-ring/k=3/n=4096", func(t *testing.T) {
 		g := graph.Harary(3, 4096, u)
-		// KnownConnectivity skips the capped max-flow λ verification, which
-		// at n=4096 would dominate the whole test.
 		opts := CutEnumOptions{KnownConnectivity: 3, MaxTrials: 2}
-		sweep, err := EnumerateMinCutsOpts(g, 3, rand.New(rand.NewSource(77)), opts)
+		sweep, err := cutsByContraction(g, 3, rand.New(rand.NewSource(77)), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +366,7 @@ func TestGrayCodeMatchesRecountLarge(t *testing.T) {
 		}
 		ro := opts
 		ro.LeafRecount = true
-		recount, err := EnumerateMinCutsOpts(g, 3, rand.New(rand.NewSource(77)), ro)
+		recount, err := cutsByContraction(g, 3, rand.New(rand.NewSource(77)), ro)
 		if err != nil {
 			t.Fatal(err)
 		}

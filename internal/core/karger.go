@@ -1,7 +1,9 @@
 package core
 
 // Recursive Karger–Stein contraction for enumerating all minimum cuts of a
-// graph with known edge connectivity size >= 3.
+// graph with known edge connectivity size >= 4. Size 3 is enumerated
+// exactly from cycle-space labels (cutlabels.go); cutsByContraction still
+// accepts it, which the equivalence tests use to compare the two.
 //
 // One trial contracts the graph to ~n/√2 supernodes, relabels the
 // supernodes densely, and recurses twice on that shared prefix; at <= ksBase
@@ -599,32 +601,16 @@ func (a *cutArena) composeIDs(depth int) []int32 {
 }
 
 // cutsByContraction enumerates all minimum cuts of h (whose edge
-// connectivity must equal size) by deterministic Karger–Stein trials on
-// one arena, whose intern table dedups across all trials, so
-// already-seen bipartitions cost no allocation at all. See the file
-// comment for the scheme and the determinism contract.
+// connectivity must equal size; EnumerateMinCuts sends size >= 4 here) by
+// deterministic Karger–Stein trials on one arena, whose intern table dedups
+// across all trials, so already-seen bipartitions cost no allocation at
+// all. See the file comment for the scheme and the determinism contract.
 func cutsByContraction(h *graph.Graph, size int, rng *rand.Rand, opts CutEnumOptions) ([]Cut, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("core: contraction enumeration requires rng")
 	}
-	if kc := opts.KnownConnectivity; kc > 0 {
-		if kc > size {
-			return nil, nil // no cuts of this size: already (size+1)-connected
-		}
-		if kc < size {
-			return nil, fmt.Errorf("core: graph has connectivity %d < requested cut size %d", kc, size)
-		}
-		if d := h.MinDegree(); d < size {
-			return nil, fmt.Errorf("core: KnownConnectivity %d contradicts min degree %d", kc, d)
-		}
-	} else {
-		lambda := h.EdgeConnectivityUpTo(size + 1)
-		if lambda > size {
-			return nil, nil // no cuts of this size: already (size+1)-connected
-		}
-		if lambda < size {
-			return nil, fmt.Errorf("core: graph has connectivity %d < requested cut size %d", lambda, size)
-		}
+	if ok, err := hasMinCutsOfSize(h, size, opts); !ok {
+		return nil, err
 	}
 	n := h.N()
 	trials := ksTrials(n)

@@ -56,7 +56,9 @@ type KECSSResult struct {
 	// Iterations is the total Aug iteration count across levels.
 	Iterations int
 	// Levels records the per-level augmentation results (Levels[0] is the
-	// MST step and has only Added/Weight/Rounds populated).
+	// MST step and has only Added/Weight/Rounds populated). Their
+	// per-iteration E6 traces (MaxCutDegreeTrace, PTrace) are not kept;
+	// a direct Aug call returns them.
 	Levels []*AugResult
 }
 
@@ -79,7 +81,7 @@ func SolveKECSS(g *graph.Graph, k int, opts KECSSOptions) (*KECSSResult, error) 
 			return nil, fmt.Errorf("core: input graph is not %d-edge-connected", k)
 		}
 	}
-	res := &KECSSResult{}
+	res := &KECSSResult{Levels: make([]*AugResult, 0, k)}
 
 	// Level 1: MST.
 	level1 := &AugResult{}
@@ -111,6 +113,7 @@ func SolveKECSS(g *graph.Graph, k int, opts KECSSOptions) (*KECSSResult, error) 
 		Phase: "mst", Level: 1, Start: t0,
 		Rounds: level1.Rounds, Messages: mstMessages, Items: len(level1.Added),
 	})
+	level1.Added = exactInts(level1.Added)
 	res.Levels = append(res.Levels, level1)
 	h := append([]int(nil), level1.Added...)
 	res.Rounds += level1.Rounds
@@ -120,19 +123,24 @@ func SolveKECSS(g *graph.Graph, k int, opts KECSSOptions) (*KECSSResult, error) 
 		if err != nil {
 			return nil, fmt.Errorf("core: Aug_%d: %w", i, err)
 		}
-		res.Levels = append(res.Levels, ar)
 		res.Rounds += ar.Rounds
 		res.Iterations += ar.Iterations
 		h = append(h, ar.Added...)
+		// A result outlives its solve (pools and servers keep it), so it
+		// keeps per-level totals only and no spare slice capacity.
+		ar.Added = exactInts(ar.Added)
+		ar.MaxCutDegreeTrace, ar.PTrace = nil, nil
+		res.Levels = append(res.Levels, ar)
 	}
 	sort.Ints(h)
 	if k >= 4 {
-		// Levels with size >= 3 cut enumeration are complete w.h.p., not
-		// certainly (Karger–Stein trials); intermediate misses surface at
+		// Levels up to 4 enumerate exactly (bridges, cut pairs, cycle-space
+		// labels for size 3). Levels from 5 on enumerate by Karger–Stein,
+		// complete w.h.p. but not certainly; intermediate misses surface at
 		// the next level's connectivity check, but the final level has no
 		// next level. The pooled-Dinic audit makes a missed cut an explicit
-		// error instead of a silently under-connected result. k <= 3 levels
-		// enumerate exactly (bridges, cut pairs) and need no audit.
+		// error instead of a silently under-connected result; at k = 4 it
+		// stays as a safety net.
 		t0 := opts.Phase.phaseStart()
 		sub, _ := g.SubgraphOf(h)
 		ok := sub.IsKEdgeConnected(k)
@@ -141,7 +149,18 @@ func SolveKECSS(g *graph.Graph, k int, opts KECSSOptions) (*KECSSResult, error) 
 			return nil, fmt.Errorf("core: %d-ECSS output failed the connectivity audit (cut enumeration missed a minimum cut; rerun with another seed)", k)
 		}
 	}
-	res.Edges = h
+	res.Edges = exactInts(h)
 	res.Weight = g.WeightOf(h)
 	return res, nil
+}
+
+// exactInts returns s in an allocation of exactly len(s), copying only when
+// s has spare capacity.
+func exactInts(s []int) []int {
+	if cap(s) == len(s) {
+		return s
+	}
+	c := make([]int, len(s))
+	copy(c, s)
+	return c
 }

@@ -16,9 +16,13 @@ import "time"
 //	                        rebalance (only when Rebalance triggers)
 //	Solve3ECSSWeighted:     validate, base, base-label, augment, correction,
 //	                        rebalance (only when Rebalance triggers)
-//	EnumerateMinCutsOpts:   ks-sweep, ks-materialise (size >= 3 only, via
-//	                        CutEnumOptions.Phase; nested inside cut-enum
-//	                        when Aug forwards its observer)
+//	EnumerateMinCutsOpts:   ks-sweep, ks-materialise (Karger–Stein, size
+//	                        >= 4 only, via CutEnumOptions.Phase; nested
+//	                        inside cut-enum when Aug forwards its observer)
+//
+// The exact size-3 enumeration (cycle-space labels) emits no event of its
+// own: at level 4 its time is the cut-enum span's self time, together with
+// Aug's λ check.
 //
 // Validate events fire only when the solver itself runs the connectivity
 // check; callers that pre-validate (kecss.Pool sweeps set SkipValidation)

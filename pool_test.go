@@ -10,7 +10,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/mst"
 )
 
 // poolTestTasks builds a mixed sweep: every solver, with two graphs shared
@@ -354,5 +356,44 @@ func TestParseSolverRoundTrips(t *testing.T) {
 	}
 	if _, err := ParseSolver("nope"); err == nil {
 		t.Error("ParseSolver accepted an unknown name")
+	}
+}
+
+// TestKECSSResultCompact pins what a k-ECSS result keeps: results outlive
+// their solve (callers and the server keep them), so the per-iteration E6
+// traces are dropped and the edge lists carry no spare capacity. A direct
+// core.Aug call still returns the traces.
+func TestKECSSResultCompact(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	g := graph.RandomKConnected(48, 4, 96, rng, graph.RandomWeights(rng, 100))
+	p := NewPool(2)
+	defer p.Close()
+	r := p.Sweep([]Task{{Graph: g, Solver: SolverKECSS, K: 4, Opts: []Option{WithSeed(3)}}})[0]
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if cap(r.Edges) != len(r.Edges) || cap(r.KECSS.Edges) != len(r.KECSS.Edges) {
+		t.Fatalf("Edges: len %d cap %d", len(r.KECSS.Edges), cap(r.KECSS.Edges))
+	}
+	if len(r.KECSS.Levels) != 4 {
+		t.Fatalf("%d levels, want 4", len(r.KECSS.Levels))
+	}
+	for i, lv := range r.KECSS.Levels {
+		if lv.MaxCutDegreeTrace != nil || lv.PTrace != nil {
+			t.Fatalf("level %d kept its traces", i+1)
+		}
+		if cap(lv.Added) != len(lv.Added) {
+			t.Fatalf("level %d Added: len %d cap %d", i+1, len(lv.Added), cap(lv.Added))
+		}
+	}
+
+	tree, _ := mst.Kruskal(g)
+	ar, err := core.Aug(g, tree, 2, core.AugOptions{Rng: rand.New(rand.NewSource(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ar.Iterations == 0 || len(ar.PTrace) != ar.Iterations || len(ar.MaxCutDegreeTrace) != ar.Iterations {
+		t.Fatalf("direct Aug: %d iterations, %d PTrace, %d MaxCutDegreeTrace",
+			ar.Iterations, len(ar.PTrace), len(ar.MaxCutDegreeTrace))
 	}
 }
