@@ -83,10 +83,13 @@ type serveProc struct {
 	done chan error
 }
 
-func startServe(t *testing.T, bin, wal string, port int, chaosSpec string, seed int64) *serveProc {
+// startServe launches one kecss-serve incarnation; mode is its -mode flag
+// ("all" runs the fused agent, "frontend" runs no agent at all).
+func startServe(t *testing.T, bin, wal string, port int, mode, chaosSpec string, seed int64) *serveProc {
 	t.Helper()
 	cmd := exec.Command(bin,
 		"-addr", fmt.Sprintf("127.0.0.1:%d", port),
+		"-mode", mode,
 		"-workers", "1",
 		"-solve-workers", "1",
 		"-journal", wal,
@@ -225,16 +228,27 @@ func TestCrashRestartMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Every planned fault must fire on a hit that causally follows job 1's
+	// 202, or the crash can beat the ack and leave nothing to check. Jobs
+	// are submitted one at a time, so anything job 2 triggers qualifies:
+	// its second lease or done (the seeded plan's hit for seed 7 is 8).
+	// Job 1's own lease and done race its 202 and do not.
 	scenarios := []struct {
 		name string
 		plan string
 		seed int64
 		kill bool // SIGKILL instead of waiting for a planned exit
+		// frontend runs the first incarnation without an agent, so no
+		// lease is journaled and the journal's batches are the accepted
+		// records in submission order: batch #2 is job 2's, written after
+		// job 1's 202. With the fused agent, job 1's lease would race its
+		// 202 for batch #2.
+		frontend bool
 	}{
-		{name: "crash-before-fsync", plan: "crash@journal.before-fsync#2", seed: 1},
-		{name: "torn-before-fsync", plan: "torn@journal.before-fsync#2", seed: 1},
-		{name: "crash-after-lease", plan: "crash@queue.after-lease#1", seed: 1},
-		{name: "crash-before-done", plan: "crash@worker.before-done#1", seed: 1},
+		{name: "crash-before-fsync", plan: "crash@journal.before-fsync#2", seed: 1, frontend: true},
+		{name: "torn-before-fsync", plan: "torn@journal.before-fsync#2", seed: 1, frontend: true},
+		{name: "crash-after-lease", plan: "crash@queue.after-lease#2", seed: 1},
+		{name: "crash-before-done", plan: "crash@worker.before-done#2", seed: 1},
 		{name: "crash-before-done-seeded", plan: "crash@worker.before-done", seed: 7},
 		{name: "stall-then-sigkill", plan: "stall@worker.solve#1:30s", seed: 1, kill: true},
 	}
@@ -247,7 +261,11 @@ func TestCrashRestartMatrix(t *testing.T) {
 			jobs := crashWorkload(t, 8)
 			wal := filepath.Join(t.TempDir(), "journal.wal")
 
-			p1 := startServe(t, bin, wal, freePort(t), sc.plan, sc.seed)
+			mode := "all"
+			if sc.frontend {
+				mode = "frontend"
+			}
+			p1 := startServe(t, bin, wal, freePort(t), mode, sc.plan, sc.seed)
 			p1.waitReady(t, 10*time.Second)
 
 			// Submit the workload; under a crash plan some POSTs may lose
@@ -276,7 +294,7 @@ func TestCrashRestartMatrix(t *testing.T) {
 
 			// Restart without chaos on the same journal: replay must finish
 			// every acknowledged job.
-			p2 := startServe(t, bin, wal, freePort(t), "", sc.seed)
+			p2 := startServe(t, bin, wal, freePort(t), "all", "", sc.seed)
 			p2.waitReady(t, 10*time.Second)
 			for id, i := range acked {
 				res := pollDone(t, p2.base, id, 30*time.Second)
