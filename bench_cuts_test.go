@@ -1,11 +1,11 @@
 package kecss
 
 // Micro-benchmarks for the min-cut enumeration engine and the capped
-// max-flow connectivity check that feeds it (and the pool's validation
-// sweep). These are the "warm enumeration path" benches the CI bench-smoke
-// step watches: BENCH_cuts.json is generated from their output and the job
-// fails if allocs/op on the enumeration path exceeds the pinned ceiling
-// (see .github/workflows/ci.yml).
+// connectivity check that feeds it (and the pool's validation sweep).
+// These are the "warm enumeration path" benches the CI bench-smoke step
+// watches: BENCH_cuts.json is generated from their output and the job fails
+// if allocs/op on the enumeration path exceeds the pinned ceiling (see
+// .github/workflows/ci.yml).
 //
 // Harary(k, n) is used as the instance family because its edge connectivity
 // is exactly k by construction, which is the precondition of
@@ -47,20 +47,32 @@ func BenchmarkMicro_EnumerateMinCuts(b *testing.B) {
 	}
 }
 
+// BenchmarkMicro_EdgeConnectivityUpTo runs the capped check on Harary(k, n),
+// whose λ is exactly k. The unprefixed cases cap at k+1 ≥ 4, the Dinic
+// path. The cap=3 cases run the linear DFS pass that the 3-ECSS validations
+// use; CI gates the n=10^4 one on wall-clock time.
 func BenchmarkMicro_EdgeConnectivityUpTo(b *testing.B) {
-	cases := []struct{ k, n int }{
-		{4, 128},
-		{4, 512},
-		{3, 2000},
+	cases := []struct{ k, n, cap int }{
+		{4, 128, 5},
+		{4, 512, 5},
+		{3, 2000, 4},
+		{2, 2000, 3},
+		{3, 2000, 3},
+		{3, 10000, 3},
 	}
 	for _, tc := range cases {
-		b.Run(fmt.Sprintf("k=%d/n=%d", tc.k, tc.n), func(b *testing.B) {
+		name := fmt.Sprintf("k=%d/n=%d", tc.k, tc.n)
+		if tc.cap <= 3 {
+			name = fmt.Sprintf("cap=%d/", tc.cap) + name
+		}
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			g := graph.Harary(tc.k, tc.n, graph.UnitWeights())
+			want := min(tc.k, tc.cap)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if lam := g.EdgeConnectivityUpTo(tc.k + 1); lam != tc.k {
-					b.Fatalf("λ=%d, want %d", lam, tc.k)
+				if lam := g.EdgeConnectivityUpTo(tc.cap); lam != want {
+					b.Fatalf("λ=%d, want %d", lam, want)
 				}
 			}
 		})

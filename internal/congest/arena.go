@@ -9,7 +9,7 @@ import "repro/internal/graph"
 // tables and message slots instead of re-allocating them.
 //
 // The arena also remembers which graph its topology (port index, neighbour
-// tables, slot map, nbrPort) was built for, keyed on the graph's identity
+// tables, nbrPort) was built for, keyed on the graph's identity
 // and edge count; AddEdge is the only way to change a graph, so the key
 // cannot go stale. A multi-phase algorithm that builds many networks over
 // one graph therefore builds the topology once: later networks over the same
@@ -40,7 +40,6 @@ type NetworkArena struct {
 	neighbors  []Neighbor
 	sentStamp  []uint32
 	outBack    []int32
-	slotOf     []int32
 	nextSame   []int32
 	portStart  []int32
 	portAtU    []int32
@@ -70,11 +69,13 @@ func WithDefaultArena(opts []Option) []Option {
 	return append([]Option{WithArena(NewArena())}, opts...)
 }
 
-// acquire returns the starting round stamp for a network over g and whether
-// the arena's topology is still the one built for g. If it is not, the
-// buffers are resized for g (buffers large enough are reused as-is; growing
-// ones are replaced) and the caller must rebuild the topology into them.
-func (a *NetworkArena) acquire(g *graph.Graph) (stamp uint32, indexed bool) {
+// acquire returns the starting round stamp for a network over g with ports
+// ports and whether the arena's topology is still the one built for g. If it
+// is not, the buffers are resized (buffers large enough are reused as-is;
+// growing ones are replaced) and the caller must rebuild the topology into
+// them. A network restricted to some of g's edges (restricted) always
+// rebuilds, and leaves no topology for a later network to reuse.
+func (a *NetworkArena) acquire(g *graph.Graph, ports int, restricted bool) (stamp uint32, indexed bool) {
 	if a.stamp >= 1<<31 {
 		// Headroom check: restart stamps long before uint32 wraparound so a
 		// borrowed network can run billions of rounds safely. The full
@@ -83,18 +84,20 @@ func (a *NetworkArena) acquire(g *graph.Graph) (stamp uint32, indexed bool) {
 		clear(a.sentStamp[:cap(a.sentStamp)])
 		a.stamp = 0
 	}
-	if a.indexed == g && a.indexedM == g.M() {
+	if !restricted && a.indexed == g && a.indexedM == g.M() {
 		return a.stamp + 1, true
 	}
 	nv, m := g.N(), g.M()
-	p2 := 2 * m
+	p2 := ports
 	a.indexed, a.indexedM = g, m
+	if restricted {
+		a.indexed = nil
+	}
 	a.slots = growSlice(a.slots, p2)
 	a.inboxArena = growSlice(a.inboxArena, p2)
 	a.neighbors = growSlice(a.neighbors, p2)
 	a.sentStamp = growSlice(a.sentStamp, p2)
 	a.outBack = growSlice(a.outBack, p2)
-	a.slotOf = growSlice(a.slotOf, p2)
 	a.nextSame = growSlice(a.nextSame, p2)
 	a.portStart = growSlice(a.portStart, nv+1)
 	a.portAtU = growSlice(a.portAtU, m)

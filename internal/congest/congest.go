@@ -14,7 +14,8 @@
 // simulated round cost O(messages + n) machine work with zero heap growth:
 //
 //   - Port indexing. A node's incident edges are its ports 0..deg-1, in
-//     adjacency order. NewNetwork builds, once, a global edge→port index
+//     adjacency order (only the active ones, for a network restricted with
+//     WithActiveEdges). NewNetwork builds, once, a global edge→port index
 //     (portAtU/portAtV, one int32 per edge endpoint) and a network-wide
 //     (node, neighbour)→lowest-port map chained through per-port nextSame
 //     links, so Send and SendTo resolve an edge or neighbour to a port in
@@ -26,21 +27,22 @@
 //     stamp equals the network's current round stamp, so clearing the send
 //     state of the whole network is a single integer increment.
 //
-//   - Slot delivery. All messages in flight live in a flat []Message of
-//     length 2m — slot 2e for the message travelling U→V on edge e, slot
-//     2e+1 for V→U. Send writes the message into its slot (each slot has
-//     exactly one possible writer per round, so parallel executors need no
-//     locks) and records the slot in the sender's out-list. deliver copies
-//     slots into per-node inbox views — fixed-capacity sub-slices of a
-//     second flat 2m arena, partitioned by receiver degree — in sender-ID
-//     order, preserving the exact inbox ordering of a sequential simulator.
+//   - Slot delivery. All messages in flight live in a flat []Message with
+//     one slot per port (2m for a network over all of g): the message
+//     leaving node v on its port i sits in slot portStart[v]+i. Send writes
+//     the message into its slot (each slot has exactly one possible writer
+//     per round, so parallel executors need no locks) and records the slot
+//     in the sender's out-list. deliver copies slots into per-node inbox
+//     views — fixed-capacity sub-slices of a second flat per-port arena,
+//     partitioned by receiver degree — in sender-ID order, preserving the
+//     exact inbox ordering of a sequential simulator.
 //
-//   - Buffer reuse. Every buffer above is sized by the graph's n and m and
+//   - Buffer reuse. Every buffer above is sized by n and the port count and
 //     carved out of a handful of flat allocations. A NetworkArena recycles
 //     them across repeated NewNetwork calls (see arena.go), so repetition
 //     sweeps construct networks without re-allocating contexts, inboxes or
 //     neighbour tables. The arena also builds the topology (port index,
-//     neighbour tables, slot map, nbrPort) once per graph, keyed on the
+//     neighbour tables, nbrPort) once per graph, keyed on the
 //     graph's identity and edge count: a multi-phase algorithm that builds
 //     many networks over one graph pays O(n + m) for the first and O(n) for
 //     each later one.
@@ -93,7 +95,7 @@ type Context struct {
 	neighbors []Neighbor // port-indexed incident edges
 	sentStamp []uint32   // per port: == net.stamp iff used this round
 	outSlots  []int32    // slots written this round, in send order
-	slotOf    []int32    // per port: its message slot (2*edge + direction)
+	slotBase  int32      // port i's message slot is slotBase+i
 	nextSame  []int32    // per port: next port with the same neighbour, -1 if none
 }
 
@@ -109,9 +111,10 @@ func (c *Context) N() int { return c.n }
 func (c *Context) Neighbors() []Neighbor { return c.neighbors }
 
 // Send queues a message on the given incident edge. It panics if the edge is
-// not incident to this node or if a second message is sent on the same edge
-// in the same round — both violate the CONGEST model and indicate a bug in
-// the algorithm, not a runtime condition.
+// not incident to this node (or not one of the network's active edges, see
+// WithActiveEdges) or if a second message is sent on the same edge in the
+// same round — both violate the CONGEST model and indicate a bug in the
+// algorithm, not a runtime condition.
 //
 //kecss:alloc-free
 func (c *Context) Send(edge int, p Payload) {
@@ -130,6 +133,9 @@ func (c *Context) Send(edge int, p Payload) {
 	default:
 		panic(fmt.Sprintf("congest: node %d sending on non-incident edge %d", c.node, edge))
 	}
+	if port < 0 {
+		panic(fmt.Sprintf("congest: node %d sending on inactive edge %d", c.node, edge))
+	}
 	c.sendPort(port, to, edge, p)
 }
 
@@ -143,7 +149,7 @@ func (c *Context) sendPort(port int32, to, edge int, p Payload) {
 		panic(fmt.Sprintf("congest: node %d sent two messages on edge %d in one round", c.node, edge))
 	}
 	c.sentStamp[port] = net.stamp
-	slot := c.slotOf[port]
+	slot := c.slotBase + port
 	net.slots[slot] = Message{From: c.node, To: to, Edge: edge, Payload: p}
 	c.outSlots = append(c.outSlots, slot)
 }

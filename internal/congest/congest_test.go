@@ -498,3 +498,94 @@ func TestArenaTopologyReuseSendToParallelEdges(t *testing.T) {
 		}
 	}
 }
+
+// runActive is runLogged on the network over g restricted to active.
+func runActive(t *testing.T, g *graph.Graph, active []bool, a *NetworkArena) (Metrics, []*logProgram) {
+	t.Helper()
+	progs := make([]*logProgram, g.N())
+	opts := []Option{WithActiveEdges(active)}
+	if a != nil {
+		opts = append(opts, WithArena(a))
+	}
+	net := NewNetwork(g, func(v int) Program {
+		progs[v] = &logProgram{}
+		return progs[v]
+	}, opts...)
+	m, err := net.Run(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, progs
+}
+
+// TestActiveEdgesMatchSubgraph runs logProgram on a graph restricted to some
+// of its edges and on the subgraph of exactly those edges: the restricted
+// network must deliver the same messages (edge IDs mapped back) in the same
+// rounds, also when one arena alternates between restricted and full
+// networks over the graph, and must refuse a send on an inactive edge.
+func TestActiveEdgesMatchSubgraph(t *testing.T) {
+	g := graph.Cycle(12, graph.UnitWeights())
+	g.AddEdge(0, 6, 1)
+	g.AddEdge(3, 9, 1)
+	g.AddEdge(3, 9, 1) // parallel edge
+	g.AddEdge(2, 8, 1)
+	const inactive = 5 // cycle edge {5, 6}
+	active := make([]bool, g.M())
+	var ids []int
+	for id := range active {
+		if id != inactive && id != 15 {
+			active[id] = true
+			ids = append(ids, id)
+		}
+	}
+	sub, orig := g.SubgraphOf(ids)
+	wantM, want := runLogged(t, sub, nil)
+	for _, p := range want {
+		for i := range p.log {
+			p.log[i].Edge = orig[p.log[i].Edge]
+		}
+	}
+	fullM, full := runLogged(t, g, nil)
+	arena := NewArena()
+	for i, restricted := range []bool{true, false, true, true, false} {
+		if !restricted {
+			gotM, got := runLogged(t, g, arena)
+			if gotM != fullM || !reflect.DeepEqual(got, full) {
+				t.Fatalf("run %d: full network diverges after a restricted one", i)
+			}
+			continue
+		}
+		gotM, got := runActive(t, g, active, arena)
+		if gotM != wantM {
+			t.Fatalf("run %d: metrics %+v, subgraph %+v", i, gotM, wantM)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: restricted network's messages differ from the subgraph's", i)
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on an inactive edge")
+		}
+	}()
+	NewNetwork(g, func(v int) Program {
+		if v == 5 {
+			return edgeSender{edge: inactive}
+		}
+		return oneShot{}
+	}, WithActiveEdges(active))
+}
+
+// TestArenaReleaseDropsNetwork pins that an idle arena holds no pointer to
+// the network that last borrowed it, so that network's programs and their
+// state can be collected while the arena waits for its next borrower.
+func TestArenaReleaseDropsNetwork(t *testing.T) {
+	arena := NewArena()
+	runLogged(t, graph.Cycle(6, graph.UnitWeights()), arena)
+	for v, ctx := range arena.ctxs {
+		if ctx.net != nil {
+			t.Fatalf("arena context %d still points at its finished network", v)
+		}
+	}
+}

@@ -31,21 +31,23 @@ type Network struct {
 
 	// Flat buffers, carved per node by portStart. All are either freshly
 	// allocated or borrowed from a NetworkArena.
-	slots      []Message  // 2m message slots, indexed 2*edge + direction
-	inboxArena []Message  // 2m inbox backing, partitioned by receiver degree
-	neighbors  []Neighbor // 2m, partitioned by node
-	sentStamp  []uint32   // 2m per-port round stamps
-	outBack    []int32    // 2m out-slot backing, partitioned by node
-	slotOf     []int32    // 2m per-port slot IDs
-	nextSame   []int32    // 2m per-port same-neighbour chain
+	slots      []Message  // one message slot per port, indexed by global port
+	inboxArena []Message  // per-port inbox backing, partitioned by receiver degree
+	neighbors  []Neighbor // per port, partitioned by node
+	sentStamp  []uint32   // per-port round stamps
+	outBack    []int32    // per-port out-slot backing, partitioned by node
+	nextSame   []int32    // per-port same-neighbour chain
 	portStart  []int32    // n+1 prefix sums of degree
-	portAtU    []int32    // m: port of edge e in e.U's adjacency
-	portAtV    []int32    // m: port of edge e in e.V's adjacency
+	portAtU    []int32    // m: port of edge e in e.U's adjacency, -1 if not a port
+	portAtV    []int32    // m: port of edge e in e.V's adjacency, -1 if not a port
 
 	// nbrPort maps nbrKey(v, u) to the lowest port of v leading to u;
 	// further parallel ports are chained through nextSame. One map for the
 	// whole network keeps construction at O(1) allocations.
 	nbrPort map[int64]int32
+
+	// active, if non-nil, restricts the ports to the edges it marks.
+	active []bool
 
 	roundFn  func(v int) // per-round executor callback, built once
 	stamp    uint32      // current round stamp (strictly increasing)
@@ -59,8 +61,9 @@ type Network struct {
 //
 //kecss:arena-owner
 type config struct {
-	exec  Executor
-	arena *NetworkArena
+	exec   Executor
+	arena  *NetworkArena
+	active []bool
 }
 
 // Option configures a Network.
@@ -78,6 +81,14 @@ func WithArena(a *NetworkArena) Option {
 	return func(c *config) { c.arena = a }
 }
 
+// WithActiveEdges restricts the network to the edges e of g with active[e]
+// (len(active) == g.M()): only they become ports, so nodes see, and may send
+// on, those edges alone, and the buffers are sized by them rather than by
+// all of g. Such a topology is built per network, never cached in an arena.
+func WithActiveEdges(active []bool) Option {
+	return func(c *config) { c.active = active }
+}
+
 // NewNetwork builds a network over g where vertex v runs factory(v).
 // Init is called for every node (messages sent there arrive in round 1).
 func NewNetwork(g *graph.Graph, factory Factory, opts ...Option) *Network {
@@ -86,8 +97,9 @@ func NewNetwork(g *graph.Graph, factory Factory, opts ...Option) *Network {
 		opt(&cfg)
 	}
 	n := &Network{
-		g:    g,
-		exec: cfg.exec,
+		g:      g,
+		exec:   cfg.exec,
+		active: cfg.active,
 		// programs is the one per-network allocation kept off the arena:
 		// callers read final program state via Program(v) after Run has
 		// returned the buffers, so it must not be recycled under them.
@@ -119,13 +131,21 @@ func NewNetwork(g *graph.Graph, factory Factory, opts ...Option) *Network {
 func (n *Network) attachBuffers(a *NetworkArena) (indexed bool) {
 	nv, m := n.g.N(), n.g.M()
 	p2 := 2 * m
+	if n.active != nil {
+		p2 = 0
+		for _, on := range n.active {
+			if on {
+				p2 += 2
+			}
+		}
+	}
 	if a != nil && !a.busy {
 		a.busy = true
 		n.arena = a
-		n.stamp, indexed = a.acquire(n.g)
+		n.stamp, indexed = a.acquire(n.g, p2, n.active != nil)
 		n.slots, n.inboxArena = a.slots, a.inboxArena
 		n.neighbors, n.sentStamp = a.neighbors, a.sentStamp
-		n.outBack, n.slotOf, n.nextSame = a.outBack, a.slotOf, a.nextSame
+		n.outBack, n.nextSame = a.outBack, a.nextSame
 		n.portStart, n.portAtU, n.portAtV = a.portStart, a.portAtU, a.portAtV
 		n.ctxs, n.done, n.inboxes = a.ctxs, a.done, a.inboxes
 		n.nbrPort = a.nbrPort
@@ -136,9 +156,9 @@ func (n *Network) attachBuffers(a *NetworkArena) (indexed bool) {
 	n.inboxArena = make([]Message, p2)
 	n.neighbors = make([]Neighbor, p2)
 	n.sentStamp = make([]uint32, p2)
-	i32 := make([]int32, 3*p2+2*m)
-	n.outBack, n.slotOf, n.nextSame = i32[:p2:p2], i32[p2:2*p2:2*p2], i32[2*p2:3*p2:3*p2]
-	n.portAtU, n.portAtV = i32[3*p2:3*p2+m:3*p2+m], i32[3*p2+m:]
+	i32 := make([]int32, 2*p2+2*m)
+	n.outBack, n.nextSame = i32[:p2:p2], i32[p2:2*p2:2*p2]
+	n.portAtU, n.portAtV = i32[2*p2:2*p2+m:2*p2+m], i32[2*p2+m:]
 	n.portStart = make([]int32, nv+1)
 	n.ctxs = make([]Context, nv)
 	n.done = make([]bool, nv)
@@ -152,25 +172,40 @@ func (n *Network) attachBuffers(a *NetworkArena) (indexed bool) {
 func (n *Network) buildTopology() {
 	g := n.g
 	nv := g.N()
+	if n.active != nil {
+		for e := range n.portAtU {
+			n.portAtU[e], n.portAtV[e] = -1, -1
+		}
+	}
 	n.portStart[0] = 0
 	for v := 0; v < nv; v++ {
-		n.portStart[v+1] = n.portStart[v] + int32(g.Degree(v))
+		deg := g.Degree(v)
+		if n.active != nil {
+			deg = 0
+			for _, a := range g.Adj(v) {
+				if n.active[a.Edge] {
+					deg++
+				}
+			}
+		}
+		n.portStart[v+1] = n.portStart[v] + int32(deg)
 	}
 	for v := 0; v < nv; v++ {
 		lo, hi := n.portStart[v], n.portStart[v+1]
 		nbrs := n.neighbors[lo:hi:hi]
-		slotOf := n.slotOf[lo:hi:hi]
-		for i, a := range g.Adj(v) {
+		i := 0
+		for _, a := range g.Adj(v) {
+			if n.active != nil && !n.active[a.Edge] {
+				continue
+			}
 			e := g.Edge(a.Edge)
 			nbrs[i] = Neighbor{ID: a.To, Edge: a.Edge, Weight: e.W}
-			slot := int32(2 * a.Edge)
 			if v == e.U {
 				n.portAtU[a.Edge] = int32(i)
 			} else {
 				n.portAtV[a.Edge] = int32(i)
-				slot++
 			}
-			slotOf[i] = slot
+			i++
 		}
 		// Per-neighbour port chains: nbrPort[nbrKey(v, id)] is the lowest
 		// port of v leading to id, nextSame links ports of the same
@@ -194,7 +229,7 @@ func (n *Network) buildTopology() {
 			neighbors: nbrs,
 			sentStamp: n.sentStamp[lo:hi:hi],
 			outSlots:  n.outBack[lo:lo:hi],
-			slotOf:    slotOf,
+			slotBase:  lo,
 			nextSame:  nextSame,
 		}
 		n.inboxes[v] = n.inboxArena[lo:lo:hi]
@@ -301,6 +336,11 @@ func (n *Network) release() {
 		return
 	}
 	n.released = true
+	// The contexts stay in the arena: drop their network pointers so the
+	// idle arena does not keep this network's programs alive.
+	for v := range n.ctxs {
+		n.ctxs[v].net = nil
+	}
 	a.stamp = n.stamp
 	a.busy = false
 }

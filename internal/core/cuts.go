@@ -253,24 +253,20 @@ func EnumerateMinCutsOpts(h *graph.Graph, size int, rng *rand.Rand, opts CutEnum
 
 // hasMinCutsOfSize checks the size >= 3 precondition λ(h) == size on a
 // connected h. It trusts opts.KnownConnectivity (after a min-degree sanity
-// check) and otherwise measures λ: for size 3 exactly from bridges and cut
-// pairs, so λ >= 3 is all it learns and the enumeration itself tells 3 from
-// more; for larger sizes by one capped max-flow pass. It reports false with
-// a nil error when λ > size (no cuts of that size), and an error when λ <
-// size or the promise is contradicted.
+// check) and otherwise measures λ: for size 3 with the linear cap-3 check,
+// so λ >= 3 is all it learns and the enumeration itself tells 3 from more;
+// for larger sizes by one capped max-flow pass. It reports false with a nil
+// error when λ > size (no cuts of that size), and an error when λ < size or
+// the promise is contradicted.
 func hasMinCutsOfSize(h *graph.Graph, size int, opts CutEnumOptions) (bool, error) {
 	lambda := opts.KnownConnectivity
 	switch {
 	case lambda > 0:
 		// The caller's promise.
-	case size != 3:
-		lambda = h.EdgeConnectivityUpTo(size + 1)
-	case len(h.Bridges()) > 0:
-		lambda = 1
-	case len(h.CutPairs()) > 0:
-		lambda = 2
+	case size == 3:
+		lambda = h.EdgeConnectivityUpTo(3) // 3 means 3 or more: an empty enumeration tells
 	default:
-		lambda = 3 // or more: an empty enumeration tells
+		lambda = h.EdgeConnectivityUpTo(size + 1)
 	}
 	if lambda > size {
 		return false, nil // no cuts of this size: already (size+1)-connected

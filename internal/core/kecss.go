@@ -32,9 +32,10 @@ type KECSSOptions struct {
 	// sweeps that solve many same-sized instances).
 	Arena *congest.NetworkArena
 	// SkipValidation skips the up-front k-edge-connectivity check of the
-	// input graph. The check costs a capped max-flow sweep per call; sweep
-	// drivers that solve many trials on one already-validated graph (the
-	// kecss.Pool does) validate once and set this for the per-trial solves.
+	// input graph. The check costs one linear DFS pass for k ≤ 3 and a
+	// capped max-flow sweep above, per call; sweep drivers that solve many
+	// trials on one already-validated graph (the kecss.Pool does) validate
+	// once and set this for the per-trial solves.
 	// With an input that is not k-edge-connected the solver fails later,
 	// with a less precise error.
 	SkipValidation bool

@@ -432,7 +432,8 @@ func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, a
 	opts.Phase.emit(PhaseEvent{Phase: "correction", Start: t0, Items: corrections})
 
 	sort.Ints(sel)
-	res.Edges = sel
+	// Results outlive their solve, so the edge list keeps no spare capacity.
+	res.Edges = exactInts(sel)
 	res.Size = len(sel)
 	res.Weight = g.WeightOf(sel)
 	res.Rounds = acc.Total()

@@ -33,6 +33,7 @@ package cycles
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/congest"
@@ -136,10 +137,16 @@ func (p *labelProgram) Round(ctx *congest.Context, inbox []congest.Message) bool
 // pre-assigned non-tree labels: owned[v] lists the non-tree edge IDs whose
 // label vertex v announces in round 1 (v must be an endpoint of each), and
 // labelOf returns the label of an owned edge. Edges of host that appear in
-// no owned list and in no tree ParentEdge carry no messages, which is how
-// the Incremental engine scans an active subgraph in place over the full
-// host network. After the scan, progs[v].upLabel is φ(tr.ParentEdge[v]).
-func runLabelScan(host *graph.Graph, tr *tree.Rooted, owned [][]int, labelOf func(edgeID int) uint64, opts []congest.Option) ([]*labelProgram, congest.Metrics, error) {
+// no owned list and in no tree ParentEdge carry no messages. A non-nil
+// active marks the edges that do (a superset is fine), and the network is
+// then built over those edges alone: that is how the Incremental engine
+// scans its active subgraph in place, without sizing the simulator's
+// buffers by the whole host. After the scan, progs[v].upLabel is
+// φ(tr.ParentEdge[v]).
+func runLabelScan(host *graph.Graph, tr *tree.Rooted, owned [][]int, labelOf func(edgeID int) uint64, active []bool, opts []congest.Option) ([]*labelProgram, congest.Metrics, error) {
+	if active != nil {
+		opts = append(slices.Clip(opts), congest.WithActiveEdges(active))
+	}
 	progs := make([]*labelProgram, host.N())
 	net := congest.NewNetwork(host, func(v int) congest.Program {
 		var nt []ownedLabel
@@ -194,7 +201,7 @@ func ComputeLabels(g *graph.Graph, tr *tree.Rooted, bits int, rng *rand.Rand, op
 			labels[e] = rng.Uint64() & mask
 		}
 	}
-	progs, metrics, err := runLabelScan(g, tr, owned, func(e int) uint64 { return labels[e] }, opts)
+	progs, metrics, err := runLabelScan(g, tr, owned, func(e int) uint64 { return labels[e] }, nil, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -174,7 +174,7 @@ func NewIncremental(g *graph.Graph, base []int, bits int, rng *rand.Rand, ar *Ar
 		inc.active[id] = true
 		inc.activeIDs = append(inc.activeIDs, id)
 	}
-	progs, metrics, err := runLabelScan(g, tr, owned, func(e int) uint64 { return inc.phi[e] }, simOpts)
+	progs, metrics, err := runLabelScan(g, tr, owned, func(e int) uint64 { return inc.phi[e] }, inc.active, simOpts)
 	if err != nil {
 		inc.Release()
 		return nil, err
@@ -201,7 +201,6 @@ func (inc *Incremental) attachScratch(ar *Arena) {
 		ar.active = growSlice(ar.active, m)
 		ar.isTree = growSlice(ar.isTree, m)
 		ar.deg = growSlice(ar.deg, n)
-		ar.arcs = growSlice(ar.arcs, 2*m)
 		ar.adj = growSlice(ar.adj, n)
 		ar.queue = growSlice(ar.queue, n)
 		ar.owned = growSlice(ar.owned, n)
@@ -248,6 +247,7 @@ func (inc *Incremental) baseTree(base []int) (*tree.Rooted, error) {
 	var arcs []graph.Arc
 	var adj [][]graph.Arc
 	if inc.arena != nil {
+		inc.arena.arcs = growSlice(inc.arena.arcs, 2*len(base))
 		deg, queue, arcs, adj = inc.arena.deg, inc.arena.queue, inc.arena.arcs, inc.arena.adj
 	} else {
 		deg = make([]int, n)
@@ -525,7 +525,7 @@ func (inc *Incremental) Phi(id int) uint64 { return inc.phi[id] }
 // it against AddEdges.
 func (inc *Incremental) RelabelScan(simOpts ...congest.Option) (int64, error) {
 	owned := inc.ownedLists(inc.activeIDs)
-	progs, metrics, err := runLabelScan(inc.G, inc.Tree, owned, func(e int) uint64 { return inc.phi[e] }, simOpts)
+	progs, metrics, err := runLabelScan(inc.G, inc.Tree, owned, func(e int) uint64 { return inc.phi[e] }, inc.active, simOpts)
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -25,8 +27,8 @@ type bridgeScanner struct {
 // skip (pass skip = -1 to scan the whole graph), and returns dst. Output
 // order follows the traversal; callers that need sorted output sort it.
 func (bs *bridgeScanner) scan(g *Graph, skip int, dst []int) []int {
-	bs.disc = growInts(bs.disc, g.n)
-	bs.low = growInts(bs.low, g.n)
+	bs.disc = grow(bs.disc, g.n)
+	bs.low = grow(bs.low, g.n)
 	disc, low := bs.disc, bs.low
 	for v := 0; v < g.n; v++ {
 		disc[v] = -1
@@ -88,12 +90,10 @@ func (g *Graph) Bridges() []int {
 }
 
 // TwoEdgeConnected reports whether g is connected and has no bridges, i.e.
-// whether g remains connected after the removal of any single edge.
+// whether g remains connected after the removal of any single edge. Graphs
+// with at most one vertex count as 2-edge-connected.
 func (g *Graph) TwoEdgeConnected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	return g.Connected() && len(g.Bridges()) == 0
+	return g.EdgeConnectivityUpTo(2) >= 2
 }
 
 // CutPair is an unordered pair of edge IDs whose joint removal disconnects a
@@ -111,84 +111,154 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// CutPairs enumerates every cut pair of g with one DFS pass plus one bridge
-// scan per nontrivial 2-cut class, replacing the former per-edge skip-scan
-// (O(m·(n+m))) with an output-sensitive O(n + m + classes·(n+m)) sweep.
-//
-// The structure it exploits: fix any DFS spanning tree. A pair of two
-// non-tree edges never disconnects (the tree survives), so every cut pair
-// contains a tree edge t, and the cut it realises is t's fundamental cut —
-// hence the partner is either (a) the unique non-tree edge covering t, when
-// exactly one does, or (b) another tree edge covered by exactly the same
-// set of non-tree edges. "Same covering set" is an equivalence relation, so
-// case (b) groups tree edges into cliques. The covering set of every tree
-// edge is fingerprinted in O(n+m) total by subtree aggregation: a back edge
-// (d, a) with d the deeper endpoint contributes (+1 at d, −1 at a) to the
-// count (ancestor a is never in a subtree without d, so the subtree sum at
-// a tree edge's child vertex counts exactly the covering edges), its ID to
-// an xor at both endpoints (fully-contained edges cancel), and a mixed hash
-// with opposite signs (same cancellation). Count-1 edges read their partner
-// straight out of the xor. Fingerprint groups of count ≥ 2 and size ≥ 2 are
-// then resolved exactly — never trusting the hash — by scanning bridges of
-// G−t for one representative t per clique: those bridges are, by
-// definition, the exact partner set of t, and resolve the whole clique at
-// once. Equal covering sets always produce equal fingerprints, so no pair
-// is ever missed; a hash collision merely costs one extra verification
-// scan.
-//
-// The graph must be 2-edge-connected (so that every size-2 cut is a pair of
-// edges, each individually removable without disconnecting).
-func (g *Graph) CutPairs() []CutPair {
-	n, m := g.n, len(g.edges)
-	if n == 0 || m == 0 {
-		return nil
+// treeFP fingerprints the set of non-tree edges covering one DFS tree edge:
+// their number, the xor of their IDs and the sum of their mixed IDs.
+type treeFP struct {
+	cnt  int
+	xr   uint64
+	hs   uint64
+	edge int // the tree edge
+}
+
+// sameSet reports whether a and b carry the same fingerprint. Equal covering
+// sets always do; different sets do with probability ~2^-64.
+func (a treeFP) sameSet(b treeFP) bool {
+	return a.cnt == b.cnt && a.xr == b.xr && a.hs == b.hs
+}
+
+// runEnd returns the end of the run of equal fingerprints that starts at i
+// in fps, sorted by compareFP.
+func runEnd(fps []treeFP, i int) int {
+	j := i + 1
+	for j < len(fps) && fps[j].sameSet(fps[i]) {
+		j++
 	}
-	disc := make([]int, n)
-	parentEdge := make([]int, n)
-	order := make([]int, 0, n) // preorder: parents precede children
+	return j
+}
+
+// compareFP orders fingerprints so that equal ones are adjacent, breaking
+// ties by edge ID so the order is total.
+func compareFP(a, b treeFP) int {
+	switch {
+	case a.cnt != b.cnt:
+		return cmp.Compare(a.cnt, b.cnt)
+	case a.xr != b.xr:
+		return cmp.Compare(a.xr, b.xr)
+	case a.hs != b.hs:
+		return cmp.Compare(a.hs, b.hs)
+	}
+	return cmp.Compare(a.edge, b.edge)
+}
+
+// cutScanner is the reusable scratch of the linear small-cut pass shared by
+// EdgeConnectivityUpTo (cap ≤ 3) and CutPairs: one iterative DFS gives the
+// components, a spanning forest and its preorder, and one subtree
+// aggregation then fingerprints every tree edge's covering set.
+//
+// The structure it exploits: a pair of two non-tree edges never disconnects
+// (the forest survives), so every cut pair contains a tree edge t, and the
+// cut it realises is t's fundamental cut — hence the partner is either (a)
+// the unique non-tree edge covering t, when exactly one does, or (b) another
+// tree edge covered by exactly the same set of non-tree edges. A tree edge
+// no non-tree edge covers is a bridge. The covering set of every tree edge
+// is fingerprinted in O(n+m) total: a back edge (d, a) with d the deeper
+// endpoint contributes (+1 at d, −1 at a) to the count (ancestor a is never
+// in a subtree without d, so the subtree sum at a tree edge's child vertex
+// counts exactly the covering edges), its ID to an xor at both endpoints
+// (fully-contained edges cancel), and a mixed hash with opposite signs (same
+// cancellation). A count-1 edge reads its partner straight out of the xor.
+// Case (b) sorts the fingerprints, so equal covering sets sit in one run,
+// and confirms each run exactly — never trusting the hash — with a bridge
+// scan of G−t: those bridges are, by definition, the exact partner set of t.
+// A hash collision merely costs one extra scan.
+//
+// Instances are recycled through cutScannerPool and resized per graph, so a
+// warm pass allocates nothing.
+type cutScanner struct {
+	disc       []int // preorder index; -1 = unvisited
+	parentEdge []int // tree edge to the DFS parent; -1 at roots
+	order      []int // preorder: parents precede children
+	isTree     []bool
+	// Per child vertex x, after fingerprint: the covering set of tree edge
+	// parentEdge[x] as (count, xor of IDs, sum of mixed IDs).
+	cnt      []int
+	xr       []uint64
+	hs       []uint64
+	stack    []bridgeFrame
+	fps      []treeFP
+	partners []int
+	resolved []bool
+	bridges  bridgeScanner
+}
+
+var cutScannerPool = sync.Pool{New: func() any { return new(cutScanner) }}
+
+// load sizes the per-vertex and per-edge scratch for g, growing it only when
+// g outsizes every graph this instance has seen before.
+func (s *cutScanner) load(g *Graph) {
+	n, m := g.n, len(g.edges)
+	s.disc = grow(s.disc, n)
+	s.parentEdge = grow(s.parentEdge, n)
+	s.cnt = grow(s.cnt, n)
+	s.xr = grow(s.xr, n)
+	s.hs = grow(s.hs, n)
+	s.isTree = grow(s.isTree, m)
+}
+
+// forest runs the iterative DFS over every component of g, recording the
+// tree edges and the preorder, and returns the number of components.
+//
+//kecss:alloc-free
+func (s *cutScanner) forest(g *Graph) int {
+	disc, parentEdge := s.disc, s.parentEdge
 	for v := range disc {
 		disc[v] = -1
 		parentEdge[v] = -1
 	}
-	isTree := make([]bool, m)
-	var stack []bridgeFrame
-	timer := 0
-	for start := 0; start < n; start++ {
+	clear(s.isTree)
+	order, stack := s.order[:0], s.stack[:0]
+	roots := 0
+	for start := 0; start < g.n; start++ {
 		if disc[start] != -1 {
 			continue
 		}
-		disc[start] = timer
-		timer++
+		roots++
+		disc[start] = len(order)
 		order = append(order, start)
-		stack = append(stack, bridgeFrame{v: start, parentEdge: -1})
+		stack = append(stack, bridgeFrame{v: start})
 		for len(stack) > 0 {
 			top := &stack[len(stack)-1]
-			if top.arcIdx < len(g.adj[top.v]) {
-				a := g.adj[top.v][top.arcIdx]
-				top.arcIdx++
-				if a.Edge == top.parentEdge || disc[a.To] != -1 {
-					continue
-				}
-				disc[a.To] = timer
-				timer++
-				parentEdge[a.To] = a.Edge
-				isTree[a.Edge] = true
-				order = append(order, a.To)
-				stack = append(stack, bridgeFrame{v: a.To, parentEdge: a.Edge})
-			} else {
+			if top.arcIdx == len(g.adj[top.v]) {
 				stack = stack[:len(stack)-1]
+				continue
 			}
+			a := g.adj[top.v][top.arcIdx]
+			top.arcIdx++
+			if disc[a.To] != -1 {
+				continue
+			}
+			disc[a.To] = len(order)
+			parentEdge[a.To] = a.Edge
+			s.isTree[a.Edge] = true
+			order = append(order, a.To)
+			stack = append(stack, bridgeFrame{v: a.To})
 		}
 	}
+	s.order, s.stack = order, stack
+	return roots
+}
 
-	// Per-vertex accumulators; after subtree aggregation, the entry at child
-	// vertex x describes the set of non-tree edges covering tree edge
-	// parentEdge[x].
-	cnt := make([]int, n)
-	xr := make([]uint64, n)
-	hs := make([]uint64, n)
+// fingerprint aggregates, bottom-up over the forest, the covering set of
+// every tree edge into cnt/xr/hs at the edge's child vertex.
+//
+//kecss:alloc-free
+func (s *cutScanner) fingerprint(g *Graph) {
+	cnt, xr, hs, disc := s.cnt, s.xr, s.hs, s.disc
+	clear(cnt)
+	clear(xr)
+	clear(hs)
 	for _, e := range g.edges {
-		if isTree[e.ID] || e.U == e.V {
+		if s.isTree[e.ID] {
 			continue
 		}
 		d, a := e.U, e.V
@@ -203,17 +273,81 @@ func (g *Graph) CutPairs() []CutPair {
 		hs[d] += h
 		hs[a] -= h
 	}
-	for i := len(order) - 1; i >= 0; i-- {
-		x := order[i]
-		pe := parentEdge[x]
+	for i := len(s.order) - 1; i >= 0; i-- {
+		x := s.order[i]
+		pe := s.parentEdge[x]
 		if pe == -1 {
 			continue
 		}
-		p := g.edges[pe].Other(x)
+		p := g.edges[pe].U
+		if p == x {
+			p = g.edges[pe].V
+		}
 		cnt[p] += cnt[x]
 		xr[p] ^= xr[x]
 		hs[p] += hs[x]
 	}
+}
+
+// upTo3 returns min(λ(g), capLimit) for 1 ≤ capLimit ≤ 3 and g.n ≥ 2,
+// returning on the first witness: a second component, a bridge, a count-1
+// tree edge, or a fingerprint run that a bridge scan confirms.
+func (s *cutScanner) upTo3(g *Graph, capLimit int) int {
+	if s.forest(g) > 1 {
+		return 0
+	}
+	if capLimit == 1 {
+		return 1
+	}
+	s.fingerprint(g)
+	pair := false
+	fps := s.fps[:0]
+	for _, x := range s.order[1:] { // order[0] is the root
+		switch c := s.cnt[x]; c {
+		case 0:
+			return 1 // a bridge
+		case 1:
+			pair = true // with its one covering edge
+		default:
+			fps = append(fps, treeFP{cnt: c, xr: s.xr[x], hs: s.hs[x], edge: s.parentEdge[x]})
+		}
+	}
+	s.fps = fps
+	if pair || capLimit == 2 {
+		return 2
+	}
+	slices.SortFunc(fps, compareFP)
+	for i, j := 0, 0; i < len(fps); i = j {
+		j = runEnd(fps, i)
+		// Scanning every member but the last finds any genuine pair in the
+		// run, even one that shares it with a colliding stranger.
+		for _, f := range fps[i : j-1] {
+			if s.partners = s.bridges.scan(g, f.edge, s.partners[:0]); len(s.partners) > 0 {
+				return 2
+			}
+		}
+	}
+	return 3
+}
+
+// CutPairs enumerates every cut pair of g with the cutScanner pass (see its
+// doc for the argument) plus one bridge scan per equivalence class of tree
+// edges sharing a covering set of two or more non-tree edges: O(n + m +
+// classes·(n+m)) in total. Count-1 classes need no scan, because a
+// one-element covering set is determined exactly by (count, xor).
+//
+// The graph must be 2-edge-connected (so that every size-2 cut is a pair of
+// edges, each individually removable without disconnecting).
+func (g *Graph) CutPairs() []CutPair {
+	n, m := g.n, len(g.edges)
+	if n == 0 || m == 0 {
+		return nil
+	}
+	s := cutScannerPool.Get().(*cutScanner)
+	defer cutScannerPool.Put(s)
+	s.load(g)
+	s.forest(g)
+	s.fingerprint(g)
 
 	var pairs []CutPair
 	addPair := func(a, b int) {
@@ -222,103 +356,107 @@ func (g *Graph) CutPairs() []CutPair {
 		}
 		pairs = append(pairs, CutPair{A: a, B: b})
 	}
-	emitClique := func(class []int) {
-		for i := 0; i < len(class); i++ {
-			for j := i + 1; j < len(class); j++ {
-				addPair(class[i], class[j])
-			}
-		}
-	}
-	type fingerprint struct {
-		cnt int
-		xr  uint64
-		hs  uint64
-	}
-	groups := make(map[fingerprint][]int)
-	for _, x := range order {
-		pe := parentEdge[x]
-		if pe == -1 || cnt[x] < 1 {
+	fps := s.fps[:0]
+	for _, x := range s.order {
+		pe := s.parentEdge[x]
+		if pe == -1 || s.cnt[x] < 1 {
 			continue
 		}
-		if cnt[x] == 1 {
+		if s.cnt[x] == 1 {
 			// Exactly one covering non-tree edge: the xor IS its ID.
-			addPair(pe, int(xr[x]))
+			addPair(pe, int(s.xr[x]))
 		}
-		k := fingerprint{cnt[x], xr[x], hs[x]}
-		groups[k] = append(groups[k], pe)
+		fps = append(fps, treeFP{cnt: s.cnt[x], xr: s.xr[x], hs: s.hs[x], edge: pe})
 	}
-	var bs bridgeScanner
-	var scratch []int
-	var resolved map[int]bool
-	// The emitted pair set is iteration-order independent: a scan resolves
-	// a whole equivalence class whichever member is scanned first, and the
-	// pairs are sorted before return.
-	//kecss:nondeterministic-ok pair set is order-independent and sorted below
-	for k, members := range groups {
-		if len(members) < 2 {
+	s.fps = fps
+	slices.SortFunc(fps, compareFP)
+	s.resolved = grow(s.resolved, m)
+	resolved := s.resolved
+	clear(resolved)
+	for i, j := 0, 0; i < len(fps); i = j {
+		j = runEnd(fps, i)
+		run := fps[i:j]
+		if len(run) < 2 {
 			continue
 		}
-		if k.cnt == 1 {
-			// A one-element covering set is determined exactly by (cnt, xor):
-			// the whole group genuinely shares the set, no scan needed.
-			emitClique(members)
+		if run[0].cnt == 1 {
+			// The whole run genuinely shares its one covering edge.
+			for a := range run {
+				for b := a + 1; b < len(run); b++ {
+					addPair(run[a].edge, run[b].edge)
+				}
+			}
 			continue
 		}
-		// cnt >= 2: verify each clique with one scan of a representative.
-		// Bridges of G−t are the exact partners of t, so one scan settles t's
-		// entire equivalence class; hash-merged strangers stay unresolved and
-		// get their own scan.
-		if resolved == nil {
-			resolved = make(map[int]bool)
-		}
-		for _, t := range members {
+		// Bridges of G−t are the exact partners of t, so one scan settles
+		// t's entire class; hash-merged strangers stay unresolved and get
+		// their own scan.
+		for _, f := range run {
+			t := f.edge
 			if resolved[t] {
 				continue
 			}
 			resolved[t] = true
-			scratch = bs.scan(g, t, scratch[:0])
-			if len(scratch) == 0 {
-				continue
-			}
-			class := make([]int, 0, len(scratch)+1)
-			class = append(class, t)
-			class = append(class, scratch...)
-			for _, p := range class {
+			s.partners = s.bridges.scan(g, t, s.partners[:0])
+			class := s.partners
+			for a, p := range class {
 				resolved[p] = true
+				addPair(t, p)
+				for _, q := range class[a+1:] {
+					addPair(p, q)
+				}
 			}
-			emitClique(class)
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
+	slices.SortFunc(pairs, func(a, b CutPair) int {
+		if a.A != b.A {
+			return cmp.Compare(a.A, b.A)
 		}
-		return pairs[i].B < pairs[j].B
+		return cmp.Compare(a.B, b.B)
 	})
 	return pairs
 }
 
 // EdgeConnectivity returns the global edge connectivity λ(g): the minimum
-// number of edges whose removal disconnects g. It fixes s=0 and computes a
-// unit-capacity max-flow to every other vertex (λ = min over t≠s of
-// maxflow(s,t) because any global min cut separates s from some t).
-// Returns 0 for disconnected graphs and n-1... is undefined for n<=1, where
-// it returns a large value (the graph cannot be disconnected).
+// number of edges whose removal disconnects g. It is 0 for a disconnected
+// graph. A graph with at most one vertex cannot be disconnected; it reports
+// M()+1.
 func (g *Graph) EdgeConnectivity() int {
 	return g.EdgeConnectivityUpTo(g.M() + 1)
 }
 
-// EdgeConnectivityUpTo returns min(λ(g), cap). Capping lets k-connectivity
-// checks terminate each max-flow after cap augmenting paths.
+// EdgeConnectivityUpTo returns min(λ(g), cap); a graph with at most one
+// vertex reports cap.
 //
-// The Dinic scratch (arc arrays, levels, iterators, BFS queue) is drawn from
-// a package-level pool and reloaded in place, so repeated calls — the
-// kecss.Pool validation sweep, the cut enumerator's λ check, and the
-// post-solve k-connectivity audits — allocate nothing once the pool is warm.
+// For cap ≤ 3 the answer comes from one cutScanner pass in O(n + m): λ ≥ 1
+// iff the DFS reaches every vertex, λ ≥ 2 iff no tree edge goes uncovered,
+// and λ ≥ 3 iff no tree edge has exactly one covering edge and no two share
+// a covering set — the last confirmed by a bridge scan, so a fingerprint
+// collision can cost time but never change the answer. Larger caps run
+// unit-capacity Dinic from vertex 0 to every other vertex, each max-flow
+// stopped after cap augmenting paths.
+//
+// Both the scanner and the Dinic scratch come from package-level pools and
+// are reloaded in place, so repeated calls — the kecss.Pool validation
+// sweep, the solvers' λ checks and the post-solve audits — allocate nothing
+// once the pools are warm.
 func (g *Graph) EdgeConnectivityUpTo(capLimit int) int {
-	if g.n <= 1 {
+	if g.n <= 1 || capLimit <= 0 {
 		return capLimit
 	}
+	if capLimit > 3 {
+		return g.dinicUpTo(capLimit)
+	}
+	s := cutScannerPool.Get().(*cutScanner)
+	s.load(g)
+	lam := s.upTo3(g, capLimit)
+	cutScannerPool.Put(s)
+	return lam
+}
+
+// dinicUpTo is the max-flow form of EdgeConnectivityUpTo for g.n ≥ 2 and
+// capLimit ≥ 1, the only form for caps above 3.
+func (g *Graph) dinicUpTo(capLimit int) int {
 	best := capLimit
 	if d := g.MinDegree(); d < best {
 		best = d
@@ -339,16 +477,7 @@ func (g *Graph) EdgeConnectivityUpTo(capLimit int) int {
 // IsKEdgeConnected reports whether g remains connected after removal of any
 // k-1 edges.
 func (g *Graph) IsKEdgeConnected(k int) bool {
-	if k <= 0 {
-		return true
-	}
-	if k == 1 {
-		return g.Connected()
-	}
-	if k == 2 {
-		return g.TwoEdgeConnected()
-	}
-	return g.EdgeConnectivityUpTo(k) >= k
+	return k <= 0 || g.EdgeConnectivityUpTo(k) >= k
 }
 
 // dinic is a unit-capacity max-flow structure over an undirected graph:
@@ -374,16 +503,12 @@ var dinicPool = sync.Pool{New: func() any { return new(dinic) }}
 func (d *dinic) reload(g *Graph) {
 	d.n = g.n
 	arcs := 2 * g.M()
-	d.head = growInts(d.head, g.n)
-	d.level = growInts(d.level, g.n)
-	d.iter = growInts(d.iter, g.n)
-	d.next = growInts(d.next, arcs)
-	d.to = growInts(d.to, arcs)
-	if cap(d.cap) < arcs {
-		d.cap = make([]int8, arcs)
-	} else {
-		d.cap = d.cap[:arcs]
-	}
+	d.head = grow(d.head, g.n)
+	d.level = grow(d.level, g.n)
+	d.iter = grow(d.iter, g.n)
+	d.next = grow(d.next, arcs)
+	d.to = grow(d.to, arcs)
+	d.cap = grow(d.cap, arcs)
 	for v := 0; v < g.n; v++ {
 		d.head[v] = -1
 	}
@@ -401,10 +526,10 @@ func (d *dinic) reload(g *Graph) {
 	}
 }
 
-// growInts returns s resized to n, reusing its backing array when possible.
-func growInts(s []int, n int) []int {
+// grow returns s resized to n, reusing its backing array when possible.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -162,9 +162,8 @@ func (p *Pool) Close() { p.svc.Close() }
 // task, in task order. Individual failures land in Result.Err; Sweep itself
 // never fails (on a closed pool every Result carries ErrPoolClosed). Before
 // solving, each distinct graph's edge connectivity is checked once (up to
-// the largest k any of its tasks needs, using the capped max-flow's early
-// exit) instead of once per task, so multi-trial sweeps do not re-validate
-// identical graphs.
+// the largest k any of its tasks needs, see preValidate) instead of once
+// per task, so multi-trial sweeps do not re-validate identical graphs.
 func (p *Pool) Sweep(tasks []Task) []Result {
 	results := make([]Result, len(tasks))
 	for i := range results {
@@ -218,9 +217,10 @@ func (t Task) requiredConnectivity() (int, error) {
 }
 
 // preValidate computes, once per distinct graph, min(λ, maxK) with maxK the
-// largest connectivity any of the graph's tasks requires — one capped Dinic
-// sweep answers every task's "is it k-edge-connected?" — and records an
-// error on each task whose requirement fails. Validations of distinct
+// largest connectivity any of the graph's tasks requires — one capped check
+// answers every task's "is it k-edge-connected?": a linear DFS pass for
+// maxK ≤ 3, a capped Dinic sweep above — and records an error on each task
+// whose requirement fails. Validations of distinct
 // graphs run on the pool's workers; a non-nil return means the pool was
 // closed and nothing was validated.
 func (p *Pool) preValidate(tasks []Task, results []Result) error {

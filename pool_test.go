@@ -359,6 +359,24 @@ func TestParseSolverRoundTrips(t *testing.T) {
 	}
 }
 
+// TestThreeECSSResultCompact pins that a 3-ECSS result's edge list, which
+// outlives its solve like a k-ECSS one, carries no spare capacity.
+func TestThreeECSSResultCompact(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := graph.RandomKConnected(64, 3, 128, rng, graph.UnitWeights())
+	p := NewPool(2)
+	defer p.Close()
+	for _, solver := range []Solver{Solver3ECSSUnweighted, Solver3ECSSWeighted} {
+		r := p.Sweep([]Task{{Graph: g, Solver: solver, Opts: []Option{WithSeed(3)}}})[0]
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		if cap(r.Edges) != len(r.Edges) || cap(r.Three.Edges) != len(r.Three.Edges) {
+			t.Fatalf("%v Edges: len %d cap %d", solver, len(r.Three.Edges), cap(r.Three.Edges))
+		}
+	}
+}
+
 // TestKECSSResultCompact pins what a k-ECSS result keeps: results outlive
 // their solve (callers and the server keep them), so the per-iteration E6
 // traces are dropped and the edge lists carry no spare capacity. A direct
