@@ -21,7 +21,8 @@ type AugOptions struct {
 	PhaseLen int
 	// Phase, if set, receives a cut-enum and an augment PhaseEvent for this
 	// level (Level = k), and, from level 5 on, the ks-sweep /
-	// ks-materialise events of its Karger–Stein cut enumeration. Nil costs
+	// ks-materialise events of its Karger–Stein cut enumeration. The
+	// cut-enum span includes the enumerator's own λ check. Nil costs
 	// nothing.
 	Phase PhaseObserver
 }
@@ -55,7 +56,9 @@ type AugResult struct {
 // equivalent union-find filter seeded with A's components) are added to A.
 // The p_i schedule starts at 1/2^⌈log m⌉ and doubles every PhaseLen·⌈log n⌉
 // iterations, restarting whenever the maximum rounded cost-effectiveness
-// drops.
+// drops. The size-(k-1) cuts come from one EnumerateMinCutsOpts call, which
+// checks λ(H) itself: no cuts means H is already k-edge-connected, and
+// λ(H) < k-1 is an error.
 func Aug(g *graph.Graph, h []int, k int, opts AugOptions) (*AugResult, error) {
 	if opts.Rng == nil {
 		return nil, fmt.Errorf("core: AugOptions.Rng is required")
@@ -77,25 +80,7 @@ func Aug(g *graph.Graph, h []int, k int, opts AugOptions) (*AugResult, error) {
 		}
 	}
 	enumStart := opts.Phase.phaseStart()
-	var cuts []Cut
-	var err error
-	if size >= 3 {
-		// One capped max-flow pass (on the pooled Dinic scratch) decides
-		// whether H is already k-edge-connected; the enumerator is told the
-		// answer instead of re-verifying it with a cold check of its own.
-		switch lam := hs.EdgeConnectivityUpTo(size + 1); {
-		case lam > size:
-			cuts = nil // H is already k-edge-connected: nothing to cover
-		case lam < size:
-			return nil, fmt.Errorf("core: enumerating size-%d cuts: subgraph H has connectivity %d < %d", size, lam, size)
-		default:
-			enumOpts.KnownConnectivity = size
-			cuts, err = EnumerateMinCutsOpts(hs, size, opts.Rng, enumOpts)
-		}
-	} else {
-		// Sizes 1–2 use the exact enumerators, which need no λ pre-check.
-		cuts, err = EnumerateMinCutsOpts(hs, size, opts.Rng, enumOpts)
-	}
+	cuts, err := EnumerateMinCutsOpts(hs, size, opts.Rng, enumOpts)
 	if err != nil {
 		return nil, fmt.Errorf("core: enumerating size-%d cuts: %w", size, err)
 	}

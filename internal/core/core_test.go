@@ -214,6 +214,37 @@ func TestAugOnAlreadyConnectedEnough(t *testing.T) {
 	}
 }
 
+// TestAugLevelFourOnFourConnected drives Aug_4 on an H that is already
+// 4-edge-connected. The size-3 enumerator checks λ(H) with the linear cap-3
+// pass, which cannot tell 3 from 4, so the empty label enumeration is what
+// reports that nothing needs covering. An H with λ = 2 is an error.
+func TestAugLevelFourOnFourConnected(t *testing.T) {
+	g := graph.Harary(4, 14, graph.UnitWeights())
+	h := make([]int, g.M())
+	var ring []int
+	for i, e := range g.Edges() {
+		h[i] = e.ID
+		if d := (e.V - e.U + g.N()) % g.N(); d == 1 || d == g.N()-1 {
+			ring = append(ring, e.ID)
+		}
+	}
+	g.AddEdge(0, 7, 1)
+	g.AddEdge(3, 10, 1)
+	res, err := Aug(g, h, 4, AugOptions{Rng: rand.New(rand.NewSource(5))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cuts != 0 || len(res.Added) != 0 || res.Iterations != 0 {
+		t.Fatalf("cuts=%d added=%v iterations=%d, want none", res.Cuts, res.Added, res.Iterations)
+	}
+	if len(ring) != g.N() {
+		t.Fatalf("found %d ring edges, want %d", len(ring), g.N())
+	}
+	if _, err := Aug(g, ring, 4, AugOptions{Rng: rand.New(rand.NewSource(5))}); err == nil {
+		t.Fatal("Aug_4 on a 2-edge-connected H must fail")
+	}
+}
+
 // --- SolveKECSS ------------------------------------------------------------
 
 func TestSolveKECSSValidation(t *testing.T) {

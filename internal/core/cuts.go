@@ -184,16 +184,9 @@ func (it *cutInterner) add(side []uint64) (Cut, bool) {
 }
 
 // CutEnumOptions tunes EnumerateMinCutsOpts. The zero value is the default:
-// λ(h) is checked by the enumerator itself, and Karger–Stein runs its full
-// repetition count. The exact enumerators for sizes 1–3 read only
-// KnownConnectivity; the other fields concern Karger–Stein (size >= 4).
+// Karger–Stein runs its full repetition count. Every field concerns
+// Karger–Stein (size >= 4); the exact enumerators for sizes 1–3 read none.
 type CutEnumOptions struct {
-	// KnownConnectivity > 0 is the caller's promise that λ(h) equals this
-	// value, letting the enumerator skip its own λ check (an Aug level has
-	// just computed the connectivity of the subgraph it augments). A cheap
-	// min-degree assertion still guards against contradictory promises.
-	// Sizes 1–2 ignore it.
-	KnownConnectivity int
 	// LeafRecount switches the Karger–Stein base-case enumeration (size
 	// >= 4) back to the per-mask crossing recount instead of the gray-code
 	// sweep. The two visit the same bipartitions and produce identical
@@ -239,7 +232,7 @@ func EnumerateMinCutsOpts(h *graph.Graph, size int, rng *rand.Rand, opts CutEnum
 		if rng == nil {
 			return nil, fmt.Errorf("core: size-3 enumeration requires rng")
 		}
-		if ok, err := hasMinCutsOfSize(h, size, opts); !ok {
+		if ok, err := hasMinCutsOfSize(h, size); !ok {
 			return nil, err
 		}
 		// One Int63 draw seeds the labels, as one seeds the contraction
@@ -252,32 +245,22 @@ func EnumerateMinCutsOpts(h *graph.Graph, size int, rng *rand.Rand, opts CutEnum
 }
 
 // hasMinCutsOfSize checks the size >= 3 precondition λ(h) == size on a
-// connected h. It trusts opts.KnownConnectivity (after a min-degree sanity
-// check) and otherwise measures λ: for size 3 with the linear cap-3 check,
-// so λ >= 3 is all it learns and the enumeration itself tells 3 from more;
-// for larger sizes by one capped max-flow pass. It reports false with a nil
-// error when λ > size (no cuts of that size), and an error when λ < size or
-// the promise is contradicted.
-func hasMinCutsOfSize(h *graph.Graph, size int, opts CutEnumOptions) (bool, error) {
-	lambda := opts.KnownConnectivity
-	switch {
-	case lambda > 0:
-		// The caller's promise.
-	case size == 3:
-		lambda = h.EdgeConnectivityUpTo(3) // 3 means 3 or more: an empty enumeration tells
-	default:
-		lambda = h.EdgeConnectivityUpTo(size + 1)
+// connected h. For size 3 it runs the linear cap-3 check, so λ >= 3 is all
+// it learns and the enumeration itself tells 3 from more (an empty result
+// means λ >= 4); larger sizes take one capped max-flow pass. It reports
+// false with a nil error when λ > size (no cuts of that size), and an error
+// when λ < size.
+func hasMinCutsOfSize(h *graph.Graph, size int) (bool, error) {
+	capped := size + 1
+	if size == 3 {
+		capped = 3 // 3 means 3 or more: an empty enumeration tells
 	}
+	lambda := h.EdgeConnectivityUpTo(capped)
 	if lambda > size {
 		return false, nil // no cuts of this size: already (size+1)-connected
 	}
 	if lambda < size {
 		return false, fmt.Errorf("core: graph has connectivity %d < requested cut size %d", lambda, size)
-	}
-	if opts.KnownConnectivity > 0 {
-		if d := h.MinDegree(); d < size {
-			return false, fmt.Errorf("core: KnownConnectivity %d contradicts min degree %d", lambda, d)
-		}
 	}
 	return true, nil
 }

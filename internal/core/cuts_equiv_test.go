@@ -185,35 +185,34 @@ func TestEnumerateMinCutsConcurrentDeterministic(t *testing.T) {
 	}
 }
 
-// TestEnumerateMinCutsKnownConnectivity pins the λ pass-in contract: a
-// correct promise reproduces the recomputed result, a too-high promise
-// means "no cuts of this size", a contradicted promise errors.
-func TestEnumerateMinCutsKnownConnectivity(t *testing.T) {
+// TestEnumerateMinCutsChecksConnectivity pins the enumerator's own λ check
+// on a 4-edge-connected graph: size 3 (the linear cap-3 check, then an empty
+// label enumeration) finds no cuts, size 4 (one capped max-flow pass) finds
+// the 4-cuts, and size 5 is an error because λ < 5.
+func TestEnumerateMinCutsChecksConnectivity(t *testing.T) {
 	g := graph.Harary(4, 14, graph.UnitWeights())
-	want, err := EnumerateMinCuts(g, 4, rand.New(rand.NewSource(3)))
+	none, err := EnumerateMinCuts(g, 3, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := EnumerateMinCutsOpts(g, 4, rand.New(rand.NewSource(3)), CutEnumOptions{KnownConnectivity: 4})
+	if len(none) != 0 {
+		t.Fatalf("λ = 4 > size 3 must report no cuts, got %d", len(none))
+	}
+	got, err := EnumerateMinCuts(g, 4, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("KnownConnectivity=λ changed the result")
+	want := bruteForceMinCuts(g, 4)
+	if len(got) != len(want) {
+		t.Fatalf("size 4: got %d cuts, brute force finds %d", len(got), len(want))
 	}
-	none, err := EnumerateMinCutsOpts(g, 3, rand.New(rand.NewSource(3)), CutEnumOptions{KnownConnectivity: 4})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range got {
+		if !want[c.Key()] {
+			t.Fatal("size 4: enumerated a cut brute force does not know")
+		}
 	}
-	if none != nil {
-		t.Fatalf("KnownConnectivity > size must report no cuts, got %d", len(none))
-	}
-	if _, err := EnumerateMinCutsOpts(g, 5, rand.New(rand.NewSource(3)), CutEnumOptions{KnownConnectivity: 4}); err == nil {
-		t.Fatal("KnownConnectivity < size must error")
-	}
-	// A promise contradicted by the min degree is caught by the assertion.
-	if _, err := EnumerateMinCutsOpts(g, 5, rand.New(rand.NewSource(3)), CutEnumOptions{KnownConnectivity: 5}); err == nil {
-		t.Fatal("contradicted KnownConnectivity must error")
+	if _, err := EnumerateMinCuts(g, 5, rand.New(rand.NewSource(3))); err == nil {
+		t.Fatal("λ = 4 < size 5 must error")
 	}
 }
 
@@ -356,7 +355,7 @@ func TestGrayCodeMatchesRecountLarge(t *testing.T) {
 	// Karger–Stein directly to reach its leaves.
 	t.Run("harary-ring/k=3/n=4096", func(t *testing.T) {
 		g := graph.Harary(3, 4096, u)
-		opts := CutEnumOptions{KnownConnectivity: 3, MaxTrials: 2}
+		opts := CutEnumOptions{MaxTrials: 2}
 		sweep, err := cutsByContraction(g, 3, rand.New(rand.NewSource(77)), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -377,7 +376,7 @@ func TestGrayCodeMatchesRecountLarge(t *testing.T) {
 
 	t.Run("cycle-x2/k=4/n=4096", func(t *testing.T) {
 		g := multiplyEdges(graph.Cycle(4096, u), 2)
-		opts := CutEnumOptions{KnownConnectivity: 4, MaxTrials: 1}
+		opts := CutEnumOptions{MaxTrials: 1}
 		run := func(o CutEnumOptions) (int, uint64) {
 			cuts, err := EnumerateMinCutsOpts(g, 4, rand.New(rand.NewSource(77)), o)
 			if err != nil {

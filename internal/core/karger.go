@@ -609,7 +609,7 @@ func cutsByContraction(h *graph.Graph, size int, rng *rand.Rand, opts CutEnumOpt
 	if rng == nil {
 		return nil, fmt.Errorf("core: contraction enumeration requires rng")
 	}
-	if ok, err := hasMinCutsOfSize(h, size, opts); !ok {
+	if ok, err := hasMinCutsOfSize(h, size); !ok {
 		return nil, err
 	}
 	n := h.N()

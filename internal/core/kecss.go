@@ -31,14 +31,6 @@ type KECSSOptions struct {
 	// Arena, if set, supplies reusable simulation buffers (for repetition
 	// sweeps that solve many same-sized instances).
 	Arena *congest.NetworkArena
-	// SkipValidation skips the up-front k-edge-connectivity check of the
-	// input graph. The check costs one linear DFS pass for k ≤ 3 and a
-	// capped max-flow sweep above, per call; sweep drivers that solve many
-	// trials on one already-validated graph (the kecss.Pool does) validate
-	// once and set this for the per-trial solves.
-	// With an input that is not k-edge-connected the solver fails later,
-	// with a less precise error.
-	SkipValidation bool
 	// Phase, if set, receives a PhaseEvent per completed solver phase
 	// (validate, mst, then cut-enum/augment per level, audit for k >= 4).
 	// Nil costs nothing.
@@ -74,19 +66,17 @@ func SolveKECSS(g *graph.Graph, k int, opts KECSSOptions) (*KECSSResult, error) 
 	if k < 1 {
 		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
 	}
-	if !opts.SkipValidation {
-		t0 := opts.Phase.phaseStart()
-		ok := g.IsKEdgeConnected(k)
-		opts.Phase.emit(PhaseEvent{Phase: "validate", Start: t0})
-		if !ok {
-			return nil, fmt.Errorf("core: input graph is not %d-edge-connected", k)
-		}
+	t0 := opts.Phase.phaseStart()
+	ok := g.IsKEdgeConnected(k)
+	opts.Phase.emit(PhaseEvent{Phase: "validate", Start: t0})
+	if !ok {
+		return nil, fmt.Errorf("core: input graph is not %d-edge-connected", k)
 	}
 	res := &KECSSResult{Levels: make([]*AugResult, 0, k)}
 
 	// Level 1: MST.
 	level1 := &AugResult{}
-	t0 := opts.Phase.phaseStart()
+	t0 = opts.Phase.phaseStart()
 	var mstMessages int64
 	if opts.SimulateMST {
 		var simOpts []congest.Option

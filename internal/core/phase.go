@@ -22,11 +22,10 @@ import "time"
 //
 // The exact size-3 enumeration (cycle-space labels) emits no event of its
 // own: at level 4 its time is the cut-enum span's self time, together with
-// Aug's λ check.
+// the enumerator's linear λ check.
 //
-// Validate events fire only when the solver itself runs the connectivity
-// check; callers that pre-validate (kecss.Pool sweeps set SkipValidation)
-// see no validate phase.
+// Every SolveKECSS and 3-ECSS solve, kecss.Pool sweeps included, checks its
+// input's connectivity itself and emits exactly one validate event.
 type PhaseEvent struct {
 	// Phase names the phase (see above).
 	Phase string

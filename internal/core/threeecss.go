@@ -57,9 +57,6 @@ type ThreeECSSOptions struct {
 	// different random trajectory than unrebalanced ones. Ignored under
 	// ReferenceLabeling (the oracle path keeps its fixed tree).
 	Rebalance bool
-	// SkipValidation skips the up-front 3-edge-connectivity check of the
-	// input graph (see KECSSOptions.SkipValidation).
-	SkipValidation bool
 	// Phase, if set, receives a PhaseEvent per completed phase (validate,
 	// base, base-label, augment, correction). Nil costs nothing.
 	Phase PhaseObserver
@@ -125,12 +122,9 @@ func Solve3ECSSUnweighted(g *graph.Graph, opts ThreeECSSOptions) (*ThreeECSSResu
 	return solve3ECSS(g, h, false, opts, &acc)
 }
 
-// validate3EC runs the up-front 3-edge-connectivity check (unless skipped),
-// reporting it to the phase observer.
+// validate3EC runs the up-front 3-edge-connectivity check, reporting it to
+// the phase observer.
 func validate3EC(g *graph.Graph, opts ThreeECSSOptions) error {
-	if opts.SkipValidation {
-		return nil
-	}
 	t0 := opts.Phase.phaseStart()
 	ok := g.IsKEdgeConnected(3)
 	opts.Phase.emit(PhaseEvent{Phase: "validate", Start: t0})

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/graph"
+	"repro/internal/journal"
 	"repro/internal/wire"
 )
 
@@ -342,6 +343,35 @@ func TestJournalRestartRecoversJobs(t *testing.T) {
 	}
 	if cold := s2.metrics.solveLatency.count.Load(); cold != 1 {
 		t.Errorf("second incarnation ran %d cold solves, want 1 (job B only)", cold)
+	}
+}
+
+// A journaled request that today's decoder rejects (an older build accepted
+// a vertex count beyond m+1) fails its own job on replay; the restart
+// itself succeeds and the server keeps serving.
+func TestJournalReplayRejectsStaleRequest(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "journal.wal")
+	j, _, err := journal.Open(wal, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := json.RawMessage(`{"graph":{"n":100000000000,"edges":[]},"solver":"2ecss","seed":1}`)
+	if err := j.Append(&journal.Record{Type: journal.TypeAccepted, JobID: "stale", Digest: "stale", Request: stale}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	s, ts := newTestServer(t, Config{Workers: 1, SolveWorkers: 1, JournalPath: wal})
+	if rep := s.Replay(); rep.Requeued != 0 {
+		t.Fatalf("replay = %+v, want the stale job not requeued", rep)
+	}
+	resp, body := getURL(t, ts.URL+"/v1/jobs/stale")
+	var jr wire.JobResponse
+	if err := json.Unmarshal(body, &jr); err != nil || jr.State != wire.JobFailed {
+		t.Fatalf("stale job = %d %s, want state failed", resp.StatusCode, body)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/solve", testRequest(89)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve after replay = %d: %s", resp.StatusCode, body)
 	}
 }
 

@@ -871,7 +871,13 @@ func (s *Server) applyReplay(rep *journal.Replay) error {
 		}
 		work, rawReq, err := buildWork(&req)
 		if err != nil {
-			return fmt.Errorf("server: replaying job %s request: %w", id, err)
+			// An older build may have accepted a request that decoding now
+			// rejects (a vertex count beyond m+1): fail that job rather than
+			// the restart.
+			j.finishing = true
+			j.finish(nil, &solveError{code: http.StatusBadRequest, msg: err.Error()})
+			s.jobs.insert(j)
+			continue
 		}
 		j.work = work
 		j.rawReq = rawReq

@@ -273,6 +273,11 @@ func TestRequestValidation(t *testing.T) {
 	if code := post(`{"graph":{"n":3,"edges":[[0,0,1]]},"solver":"2ecss"}`); code != http.StatusBadRequest {
 		t.Errorf("self-loop = %d, want 400", code)
 	}
+	// A 60-byte body must not make the server allocate per-vertex state for
+	// 10^11 vertices: the vertex count is bounded by the edge count.
+	if code := post(`{"graph":{"n":100000000000,"edges":[]},"solver":"2ecss"}`); code != http.StatusBadRequest {
+		t.Errorf("huge n = %d, want 400", code)
+	}
 	// Well-formed but unsolvable: a ring is not 3-edge-connected.
 	req := &wire.SolveRequest{Graph: wire.GraphToJSON(ring), SolveSpec: wire.SolveSpec{Solver: "3ecss", Seed: 1}}
 	resp, body := postJSON(t, ts.URL+"/v1/solve", req)

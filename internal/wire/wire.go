@@ -73,6 +73,10 @@ func DecodeGraph(b []byte) (*graph.Graph, error) {
 		if n <= 0 {
 			return 0, fmt.Errorf("wire: truncated encoding reading %s", what)
 		}
+		if n > 1 && b[n-1] == 0 {
+			// A zero final byte pads the varint: not the canonical form.
+			return 0, fmt.Errorf("wire: non-minimal varint reading %s", what)
+		}
 		b = b[n:]
 		return x, nil
 	}
@@ -84,9 +88,13 @@ func DecodeGraph(b []byte) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	const maxN = 1 << 30
-	if n > maxN || m > maxN {
-		return nil, fmt.Errorf("wire: implausible sizes n=%d m=%d", n, m)
+	// Every edge takes at least 3 bytes, so m is bounded by the input, and
+	// checkSize bounds n by m before anything is allocated.
+	if m > uint64(len(b))/3 {
+		return nil, fmt.Errorf("wire: %d edges cannot fit in %d bytes", m, len(b))
+	}
+	if err := checkSize(n, m); err != nil {
+		return nil, err
 	}
 	g := graph.New(int(n))
 	for i := uint64(0); i < m; i++ {
@@ -130,12 +138,16 @@ func GraphToJSON(g *graph.Graph) *GraphJSON {
 	return gj
 }
 
-// ToGraph converts the JSON wire form back into a graph, validating every
-// edge (endpoints in range, no self-loops, non-negative weights) so that
-// malformed network input returns an error instead of panicking.
+// ToGraph converts the JSON wire form back into a graph, validating the
+// vertex count (see checkSize) and every edge (endpoints in range, no
+// self-loops, non-negative weights) so that malformed network input returns
+// an error instead of panicking or allocating without bound.
 func (gj *GraphJSON) ToGraph() (*graph.Graph, error) {
 	if gj.N < 0 {
 		return nil, fmt.Errorf("wire: negative vertex count %d", gj.N)
+	}
+	if err := checkSize(uint64(gj.N), uint64(len(gj.Edges))); err != nil {
+		return nil, err
 	}
 	g := graph.New(gj.N)
 	for i, e := range gj.Edges {
@@ -146,6 +158,17 @@ func (gj *GraphJSON) ToGraph() (*graph.Graph, error) {
 		g.AddEdge(int(u), int(v), w)
 	}
 	return g, nil
+}
+
+// checkSize bounds the vertex count by the edge count, which the input's
+// own length bounds: n <= m+1. A graph with more vertices is disconnected,
+// so no solver can succeed on it, and the bound keeps a short request from
+// allocating per-vertex state for a huge n.
+func checkSize(n, m uint64) error {
+	if n > m+1 {
+		return fmt.Errorf("wire: %d vertices cannot be connected by %d edges", n, m)
+	}
+	return nil
 }
 
 func checkEdge(n int, u, v, w int64) error {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"math/rand"
@@ -178,14 +179,43 @@ func TestDecodeGraphRejectsMalformed(t *testing.T) {
 	if _, err := DecodeGraph([]byte("nope")); err == nil {
 		t.Error("bad magic accepted")
 	}
+	for name, b := range malformedBinary() {
+		if _, err := DecodeGraph(b); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// malformedBinary holds binary encodings that must be rejected before any
+// per-vertex allocation: a vertex count the edges cannot connect (n = 2^62
+// and n = 2^30 with m = 0; the old decoder allocated for the latter), an
+// edge count the input cannot hold, and a padded varint.
+func malformedBinary() map[string][]byte {
+	enc := func(xs ...uint64) []byte {
+		b := []byte(binaryMagic)
+		for _, x := range xs {
+			b = binary.AppendUvarint(b, x)
+		}
+		return b
+	}
+	return map[string][]byte{
+		"n=2^62 m=0":        enc(1<<62, 0),
+		"n=2^30 m=0":        enc(1<<30, 0),
+		"n=4 m=1":           enc(4, 1, 0, 1, 1),
+		"m=2^40 in 3 bytes": enc(2, 1<<40, 0, 1, 1),
+		"padded varint":     append(enc(2, 1, 0), 0x81, 0x00, 1),
+	}
 }
 
 func TestGraphJSONRejectsMalformed(t *testing.T) {
 	bad := []GraphJSON{
 		{N: -1},
-		{N: 4, Edges: [][3]int64{{0, 4, 1}}},  // endpoint out of range
-		{N: 4, Edges: [][3]int64{{2, 2, 1}}},  // self-loop
-		{N: 4, Edges: [][3]int64{{0, 1, -5}}}, // negative weight
+		{N: 4, Edges: [][3]int64{{0, 4, 1}}},            // endpoint out of range
+		{N: 4, Edges: [][3]int64{{2, 2, 1}}},            // self-loop
+		{N: 4, Edges: [][3]int64{{0, 1, -5}}},           // negative weight
+		{N: 1 << 62},                                    // n far beyond m+1
+		{N: 1 << 30},                                    // n far beyond m+1
+		{N: 4, Edges: [][3]int64{{0, 1, 1}, {1, 2, 1}}}, // n = m+2
 	}
 	for i, gj := range bad {
 		if _, err := gj.ToGraph(); err == nil {

@@ -179,15 +179,14 @@ func (c config) rng() *rand.Rand { return rand.New(rand.NewSource(c.seed)) }
 
 // solveEnv is the per-call execution state a solver run gets on top of its
 // config: its private random stream plus, for pool workers, the worker's
-// recycled arena and the marker that the graph was already validated. It
-// lives for exactly one solve call on the worker that owns the arenas.
+// recycled arenas. It lives for exactly one solve call on the worker that
+// owns the arenas.
 //
 //kecss:arena-owner
 type solveEnv struct {
-	rng            *rand.Rand
-	arena          *congest.NetworkArena
-	labels         *cycles.Arena
-	skipValidation bool
+	rng    *rand.Rand
+	arena  *congest.NetworkArena
+	labels *cycles.Arena
 }
 
 func (c config) serialEnv() solveEnv { return solveEnv{rng: c.rng()} }
@@ -205,13 +204,12 @@ func (c config) twoOpts(env solveEnv) core.TwoECSSOptions {
 
 func (c config) kecssOpts(env solveEnv) core.KECSSOptions {
 	return core.KECSSOptions{
-		Rng:            env.rng,
-		PhaseLen:       c.phaseLen,
-		SimulateMST:    c.simulateMST,
-		Executor:       c.executor,
-		Arena:          env.arena,
-		SkipValidation: env.skipValidation,
-		Phase:          c.phase,
+		Rng:         env.rng,
+		PhaseLen:    c.phaseLen,
+		SimulateMST: c.simulateMST,
+		Executor:    c.executor,
+		Arena:       env.arena,
+		Phase:       c.phase,
 	}
 }
 
@@ -224,7 +222,6 @@ func (c config) threeOpts(env solveEnv) core.ThreeECSSOptions {
 		Arena:             env.arena,
 		LabelArena:        env.labels,
 		ReferenceLabeling: c.refLabeling,
-		SkipValidation:    env.skipValidation,
 		Phase:             c.phase,
 	}
 }

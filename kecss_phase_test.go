@@ -109,29 +109,38 @@ func TestPhaseObserver3ECSS(t *testing.T) {
 }
 
 // TestPhaseObserverThroughPool pins that a per-task observer option reaches
-// the solver on pool sweeps (the serving agents rely on this), and that the
-// pool's pre-validation suppresses the validate phase rather than running
-// the check twice.
+// the solver on pool sweeps (the serving agents rely on this), and that
+// every pooled 3-ECSS and k-ECSS solve runs its connectivity check exactly
+// once: one validate event per solve, never zero and never two.
 func TestPhaseObserverThroughPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := graph.RandomKConnected(16, 3, 16, rng, graph.UnitWeights())
 	p := NewPool(2)
 	defer p.Close()
-	var events []PhaseEvent
-	obs := func(ev PhaseEvent) { events = append(events, ev) }
-	res := p.Sweep([]Task{{
-		Graph:  g,
-		Solver: Solver3ECSSUnweighted,
-		Opts:   []Option{WithSeed(11), WithLabelBits(40), WithPhaseObserver(obs)},
-	}})
-	if res[0].Err != nil {
-		t.Fatal(res[0].Err)
+	tasks := []Task{
+		{Graph: g, Solver: Solver3ECSSUnweighted, Opts: []Option{WithSeed(11), WithLabelBits(40)}},
+		{Graph: g, Solver: Solver3ECSSWeighted, Opts: []Option{WithSeed(11), WithLabelBits(40)}},
+		{Graph: g, Solver: SolverKECSS, K: 3, Opts: []Option{WithSeed(11)}},
 	}
-	got := phaseSet(events)
-	if got["validate"] != 0 {
-		t.Fatalf("pool sweeps pre-validate; solver should not emit validate, got %v", got)
+	events := make([][]PhaseEvent, len(tasks))
+	for i := range tasks {
+		obs := func(ev PhaseEvent) { events[i] = append(events[i], ev) }
+		tasks[i].Opts = append(tasks[i].Opts, WithPhaseObserver(obs))
 	}
-	if got["base-label"] != 1 || got["augment"] != 1 {
-		t.Fatalf("phase observer did not reach the pooled solver: %v", got)
+	res := p.Sweep(tasks)
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("task %d: %v", i, r.Err)
+		}
+		got := phaseSet(events[i])
+		if got["validate"] != 1 {
+			t.Fatalf("task %d (%v): want exactly one validate phase, got %v", i, tasks[i].Solver, got)
+		}
+		if got["augment"] == 0 {
+			t.Fatalf("task %d (%v): phase observer did not reach the pooled solver: %v", i, tasks[i].Solver, got)
+		}
+	}
+	if got := phaseSet(events[0]); got["base-label"] != 1 {
+		t.Fatalf("pooled 3-ECSS: want one base-label phase, got %v", got)
 	}
 }

@@ -65,7 +65,8 @@ func ParseSolver(name string) (Solver, error) {
 // Task is one solve in a Pool sweep.
 type Task struct {
 	// Graph is the instance to solve. Several tasks may share one *Graph
-	// (per-trial sweeps); the pool validates each distinct graph once.
+	// (per-trial sweeps); each task's solver checks the graph's
+	// connectivity itself.
 	Graph *Graph
 	// Solver selects the algorithm.
 	Solver Solver
@@ -160,121 +161,36 @@ func (p *Pool) Close() { p.svc.Close() }
 
 // Sweep solves every task on the pool's workers and returns one Result per
 // task, in task order. Individual failures land in Result.Err; Sweep itself
-// never fails (on a closed pool every Result carries ErrPoolClosed). Before
-// solving, each distinct graph's edge connectivity is checked once (up to
-// the largest k any of its tasks needs, see preValidate) instead of once
-// per task, so multi-trial sweeps do not re-validate identical graphs.
+// never fails (on a closed pool every Result carries ErrPoolClosed). Each
+// task's solver validates its input itself (see SolveKECSS and the 3-ECSS
+// solvers), so an under-connected graph or a bad K fails only its own
+// tasks.
 func (p *Pool) Sweep(tasks []Task) []Result {
 	results := make([]Result, len(tasks))
-	for i := range results {
-		results[i].Task = i
-	}
-	if err := p.preValidate(tasks, results); err != nil {
-		return p.failAll(results, err)
-	}
 	err := p.svc.Run(len(tasks), func(i int, w *service.Worker) {
-		if results[i].Err != nil {
-			return // validation already rejected this task
-		}
 		results[i] = p.solveOne(i, tasks[i], w)
 	})
 	if err != nil {
-		return p.failAll(results, err)
-	}
-	return results
-}
-
-// failAll marks every not-yet-failed result with the sweep-level error,
-// translating the service layer's ErrClosed into the public ErrPoolClosed.
-func (p *Pool) failAll(results []Result, err error) []Result {
-	if errors.Is(err, service.ErrClosed) {
-		err = ErrPoolClosed
-	}
-	for i := range results {
-		if results[i].Err == nil {
-			results[i].Err = err
+		// The pool was closed before the sweep was admitted: nothing ran.
+		if errors.Is(err, service.ErrClosed) {
+			err = ErrPoolClosed
+		}
+		for i := range results {
+			results[i] = Result{Task: i, Err: err}
 		}
 	}
 	return results
 }
 
-// requiredConnectivity returns the edge connectivity the task's solver
-// demands of its input (0 = no up-front requirement).
-func (t Task) requiredConnectivity() (int, error) {
-	switch t.Solver {
-	case Solver2ECSS:
-		// core.Solve2ECSS validates only n >= 2 itself; keep parity.
-		return 0, nil
-	case SolverKECSS:
-		if t.K < 1 {
-			return 0, fmt.Errorf("kecss: SolverKECSS needs K >= 1, got %d", t.K)
-		}
-		return t.K, nil
-	case Solver3ECSSUnweighted, Solver3ECSSWeighted:
-		return 3, nil
-	}
-	return 0, fmt.Errorf("kecss: unknown solver %d", int(t.Solver))
-}
-
-// preValidate computes, once per distinct graph, min(λ, maxK) with maxK the
-// largest connectivity any of the graph's tasks requires — one capped check
-// answers every task's "is it k-edge-connected?": a linear DFS pass for
-// maxK ≤ 3, a capped Dinic sweep above — and records an error on each task
-// whose requirement fails. Validations of distinct
-// graphs run on the pool's workers; a non-nil return means the pool was
-// closed and nothing was validated.
-func (p *Pool) preValidate(tasks []Task, results []Result) error {
-	needBy := make(map[*Graph]int)
-	var order []*Graph
-	for i, t := range tasks {
-		if t.Graph == nil {
-			results[i].Err = fmt.Errorf("kecss: task %d has a nil graph", i)
-			continue
-		}
-		k, err := t.requiredConnectivity()
-		if err != nil {
-			results[i].Err = fmt.Errorf("kecss: task %d: %w", i, err)
-			continue
-		}
-		if k == 0 {
-			continue
-		}
-		if prev, seen := needBy[t.Graph]; !seen {
-			needBy[t.Graph] = k
-			order = append(order, t.Graph)
-		} else if k > prev {
-			needBy[t.Graph] = k
-		}
-	}
-	if len(order) == 0 {
-		return nil
-	}
-	lam := make(map[*Graph]int, len(order))
-	lams := make([]int, len(order))
-	if err := p.svc.Run(len(order), func(i int, _ *service.Worker) {
-		lams[i] = order[i].EdgeConnectivityUpTo(needBy[order[i]])
-	}); err != nil {
-		return err
-	}
-	for i, g := range order {
-		lam[g] = lams[i]
-	}
-	for i, t := range tasks {
-		if results[i].Err != nil || t.Graph == nil {
-			continue
-		}
-		k, _ := t.requiredConnectivity()
-		if k > 0 && lam[t.Graph] < k {
-			results[i].Err = fmt.Errorf("kecss: task %d: input graph is not %d-edge-connected", i, k)
-		}
-	}
-	return nil
-}
-
-// solveOne runs one validated task on a worker. All state is derived from
-// the task index and the task itself, never from the worker, so results are
+// solveOne runs one task on a worker. All state is derived from the task
+// index and the task itself, never from the worker, so results are
 // schedule-independent; the worker contributes only its recycled arena.
 func (p *Pool) solveOne(idx int, t Task, w *service.Worker) Result {
+	r := Result{Task: idx}
+	if t.Graph == nil {
+		r.Err = fmt.Errorf("kecss: task %d has a nil graph", idx)
+		return r
+	}
 	opts := make([]Option, 0, len(p.defaults)+len(t.Opts))
 	opts = append(opts, p.defaults...)
 	opts = append(opts, t.Opts...)
@@ -282,12 +198,10 @@ func (p *Pool) solveOne(idx int, t Task, w *service.Worker) Result {
 	env := solveEnv{
 		// The task-index XOR keeps trials on a shared graph independent
 		// while index 0 with the default seed reproduces the serial API.
-		rng:            rand.New(rand.NewSource(c.seed ^ int64(idx))),
-		arena:          w.Arena,
-		labels:         w.Labels,
-		skipValidation: true, // preValidate already ran
+		rng:    rand.New(rand.NewSource(c.seed ^ int64(idx))),
+		arena:  w.Arena,
+		labels: w.Labels,
 	}
-	r := Result{Task: idx}
 	switch t.Solver {
 	case Solver2ECSS:
 		res, err := core.Solve2ECSS(t.Graph, c.twoOpts(env))
