@@ -1,16 +1,15 @@
 package kecss
 
-// Micro-benchmarks for the min-cut enumeration engine and the capped
-// connectivity check that feeds it (and the pool's validation sweep).
-// These are the "warm enumeration path" benches the CI bench-smoke step
-// watches: BENCH_cuts.json is generated from their output and the job fails
-// if allocs/op on the enumeration path exceeds the pinned ceiling (see
-// .github/workflows/ci.yml).
+// Micro-benchmarks for the exact min-cut enumerators and the capped
+// connectivity check that the solvers' validations and audits run. These
+// are the "warm enumeration path" benches the CI bench-smoke step watches:
+// BENCH_cuts.json is generated from their output, and the job fails if
+// allocs/op or ns/op exceeds a pinned ceiling (see .github/workflows/ci.yml).
 //
 // Harary(k, n) is used as the instance family because its edge connectivity
 // is exactly k by construction, which is the precondition of
-// EnumerateMinCuts(g, k). Size 3 runs the exact cycle-space label
-// enumerator, sizes 4–5 Karger–Stein.
+// EnumerateMinCuts(g, k). Size 3 runs the cycle-space label enumerator;
+// sizes 4–5 and every cap ≥ 4 run the unit-flow engine.
 
 import (
 	"fmt"
@@ -48,9 +47,10 @@ func BenchmarkMicro_EnumerateMinCuts(b *testing.B) {
 }
 
 // BenchmarkMicro_EdgeConnectivityUpTo runs the capped check on Harary(k, n),
-// whose λ is exactly k. The unprefixed cases cap at k+1 ≥ 4, the Dinic
-// path. The cap=3 cases run the linear DFS pass that the 3-ECSS validations
-// use; CI gates the n=10^4 one on wall-clock time.
+// whose λ is exactly k. The unprefixed cases cap at k+1 ≥ 4, the unit-flow
+// path that the k=4 validations and audits use. The cap=3 cases run the
+// linear DFS pass that the 3-ECSS validations use. CI gates k=4/n=512,
+// k=3/n=2000 and cap=3/k=3/n=10000 on wall-clock time.
 func BenchmarkMicro_EdgeConnectivityUpTo(b *testing.B) {
 	cases := []struct{ k, n, cap int }{
 		{4, 128, 5},
@@ -81,12 +81,15 @@ func BenchmarkMicro_EdgeConnectivityUpTo(b *testing.B) {
 
 // BenchmarkMicro_SolveKECSSEndToEnd is the end-to-end solve bench for the
 // cut-enumeration-dominated workloads: k=3 (3-ECSS through the Aug
-// framework, size-2 cut enumeration) and k=4 (the first k whose Aug level
-// enumerates size-3 cuts, from cycle-space labels).
+// framework, size-2 cut enumeration), k=4 (the first k whose Aug level
+// enumerates size-3 cuts, from cycle-space labels) and k=5 (the first k
+// whose Aug level enumerates size-4 cuts, on the unit-flow engine; CI
+// gates its n=512 case on wall-clock time).
 func BenchmarkMicro_SolveKECSSEndToEnd(b *testing.B) {
 	cases := []struct{ k, n int }{
 		{3, 96},
 		{4, 64},
+		{5, 512},
 	}
 	for _, tc := range cases {
 		b.Run(fmt.Sprintf("k=%d/n=%d", tc.k, tc.n), func(b *testing.B) {
@@ -97,34 +100,6 @@ func BenchmarkMicro_SolveKECSSEndToEnd(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := SolveKECSS(g, tc.k, WithSeed(int64(i))); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMicro_EnumerateMinCutsReference benches the retained flat-Karger
-// oracle on the smaller instances (it is Θ(n²·log n) trials, so larger
-// sizes are impractical) — the live "before" column for the table in
-// CHANGES.md. CI's bench-smoke step anchors its -bench regex to the
-// non-Reference benchmarks, so this never runs in CI.
-func BenchmarkMicro_EnumerateMinCutsReference(b *testing.B) {
-	cases := []struct{ size, n int }{
-		{3, 64},
-		{3, 256},
-	}
-	for _, tc := range cases {
-		b.Run(fmt.Sprintf("size=%d/n=%d", tc.size, tc.n), func(b *testing.B) {
-			b.ReportAllocs()
-			g := graph.Harary(tc.size, tc.n, graph.UnitWeights())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cuts, err := core.EnumerateMinCutsReference(g, tc.size, rand.New(rand.NewSource(int64(i))))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(cuts) == 0 {
-					b.Fatal("no cuts found")
 				}
 			}
 		})

@@ -99,7 +99,7 @@ func run(algo, gen string, n, k int, seed, maxW int64, verbose bool) error {
 		if verbose {
 			for i, lv := range res.Levels {
 				fmt.Printf("  level %d: +%d edges (w=%d) cuts=%d iters=%d rounds=%d\n",
-					i+1, len(lv.Added), lv.Weight, lv.Cuts, lv.Iterations, lv.Rounds)
+					i+1, lv.Added, lv.Weight, lv.Cuts, lv.Iterations, lv.Rounds)
 			}
 		}
 		fmt.Printf("verified %d-edge-connected: %v\n", k, kecss.VerifyKEdgeConnected(g, res.Edges, k))

@@ -45,10 +45,14 @@ func ExampleSolveKECSS() {
 		log.Fatal(err)
 	}
 	fmt.Println("3-edge-connected:", kecss.VerifyKEdgeConnected(g, res.Edges, 3))
-	fmt.Println("levels:", len(res.Levels))
+	added := 0
+	for _, lv := range res.Levels {
+		added += lv.Added // level totals; the edges themselves are in res.Edges
+	}
+	fmt.Println("levels:", len(res.Levels), "edges:", added, len(res.Edges))
 	// Output:
 	// 3-edge-connected: true
-	// levels: 3
+	// levels: 3 edges: 13 13
 }
 
 func ExampleSolveTAP() {

@@ -2,7 +2,7 @@
 // contract against the compiler's actual escape analysis, gcassert-style.
 //
 // The hot paths that PRs 1/4/5 drove to ~0 allocs/op (simulator round
-// delivery, cycles.Incremental.AddEdges, the pooled Dinic reload,
+// delivery, cycles.Incremental.AddEdges, the pooled connectivity reload,
 // tree.ForEachPathEdge, ...) were protected only by bench-smoke ceilings
 // running at -benchtime=1x — an accidental heap escape fails a benchmark
 // hours later, with no pointer to the offending expression. alloccheck

@@ -25,8 +25,9 @@
 //     `//kecss:noescape` sites against the compiler's real escape analysis
 //     (`go tool compile -m`), so an accidental heap escape on a hot path
 //     fails the build rather than a bench ceiling hours later.
-//   - arenacheck: enforces the NetworkArena/cutArena ownership rules —
-//     arena values must not be re-shared into other structs or leaked into
+//   - arenacheck: enforces the ownership rules of the types marked
+//     `//kecss:arena` (NetworkArena, the cycle-space label arena) — arena
+//     values must not be re-shared into other structs or leaked into
 //     goroutine closures, and arena-derived buffers may live only in fields
 //     of types marked `//kecss:arena-owner`.
 //

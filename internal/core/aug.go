@@ -20,10 +20,8 @@ type AugOptions struct {
 	// experiment).
 	PhaseLen int
 	// Phase, if set, receives a cut-enum and an augment PhaseEvent for this
-	// level (Level = k), and, from level 5 on, the ks-sweep /
-	// ks-materialise events of its Karger–Stein cut enumeration. The
-	// cut-enum span includes the enumerator's own λ check. Nil costs
-	// nothing.
+	// level (Level = k). The cut-enum span includes the enumerator's own λ
+	// check. Nil costs nothing.
 	Phase PhaseObserver
 }
 
@@ -56,7 +54,7 @@ type AugResult struct {
 // equivalent union-find filter seeded with A's components) are added to A.
 // The p_i schedule starts at 1/2^⌈log m⌉ and doubles every PhaseLen·⌈log n⌉
 // iterations, restarting whenever the maximum rounded cost-effectiveness
-// drops. The size-(k-1) cuts come from one EnumerateMinCutsOpts call, which
+// drops. The size-(k-1) cuts come from one EnumerateMinCuts call, which
 // checks λ(H) itself: no cuts means H is already k-edge-connected, and
 // λ(H) < k-1 is an error.
 func Aug(g *graph.Graph, h []int, k int, opts AugOptions) (*AugResult, error) {
@@ -68,19 +66,8 @@ func Aug(g *graph.Graph, h []int, k int, opts AugOptions) (*AugResult, error) {
 	}
 	hs, _ := g.SubgraphOf(h)
 	size := k - 1
-	var enumOpts CutEnumOptions
-	if opts.Phase != nil {
-		// Forward the solver observer into the enumeration so its ks-sweep /
-		// ks-materialise events appear inside this level's cut-enum span,
-		// tagged with the level they belong to.
-		inner := opts.Phase
-		enumOpts.Phase = func(ev PhaseEvent) {
-			ev.Level = k
-			inner(ev)
-		}
-	}
 	enumStart := opts.Phase.phaseStart()
-	cuts, err := EnumerateMinCutsOpts(hs, size, opts.Rng, enumOpts)
+	cuts, err := EnumerateMinCuts(hs, size, opts.Rng)
 	if err != nil {
 		return nil, fmt.Errorf("core: enumerating size-%d cuts: %w", size, err)
 	}

@@ -7,46 +7,44 @@
 //
 // Every Aug_k level must cover every minimum cut of its current subgraph H
 // (Definition 2.1). EnumerateMinCuts produces them as canonical vertex
-// bipartitions. Sizes 1–3 are enumerated exactly: bridges, cut pairs, and
-// for size 3 the cycle-space labels of §5 (cutlabels.go) — every 3-edge
-// cut XORs to 0 under random labels, so one table lookup per (tree edge,
-// edge) pair finds every candidate triple, and a component scan confirms
-// each one. Size >= 4 runs recursive Karger–Stein contraction — contract
-// to floor(n/√2) supernodes (see ksTarget for why the analysis' ⌈1+n/√2⌉
-// is deliberately rounded down), recurse twice on the shared prefix, and
-// at <= 6 supernodes enumerate every bipartition of the contracted graph
-// exactly. A fixed minimum cut survives one such trial with probability
-// Ω(1/log n), so Θ(log²n) trials enumerate all minimum cuts w.h.p., versus
-// the Θ(n²·log n) flat contractions of EnumerateMinCutsReference (retained
-// as the testing oracle).
+// bipartitions, exactly at every size: bridges, cut pairs, for size 3 the
+// cycle-space labels of §5 (cutlabels.go) — every 3-edge cut XORs to 0
+// under random labels, so one table lookup per (tree edge, edge) pair
+// finds every candidate triple, and a component scan confirms each one —
+// and for size >= 4 the unit-flow engine of graph.EachMinCut. For
+// t = 1..n−1 the engine pushes unit paths from the merged source
+// {0..t−1} to t; each minimum cut is a minimum {0..t−1}–t cut for exactly
+// one t, the smallest vertex of its far side, and the minimum cuts at that
+// t are the closed sets of the residual graph (Picard–Queyranne), which it
+// lists by branching on one free vertex at a time. The same pass computes
+// λ, so the enumeration checks its own precondition. There is no Monte
+// Carlo step and no "rerun with another seed": every level, and with it
+// every solve, is exact for every seed.
 //
-// # Per-trial seeds
+// # Seeds
 //
-// Size >= 3 enumeration draws one Int63 from the caller's RNG, after the
-// λ check. Size 3 seeds its labels with it; the labels decide only the
-// running time, never the output. Contraction trial t draws from a private
-// RNG seeded baseSeed XOR t, where baseSeed is that draw. The found cuts
-// are sorted canonically, so the output depends only on the graph, the cut
-// size and that one draw, and Aug's sampling consumes the same stream
-// whichever enumerator ran.
+// Size >= 3 enumeration draws one Int63 from the caller's RNG once λ is
+// known to allow cuts of that size. Size 3 seeds its labels with it; the
+// labels decide only the running time, never the output. Size >= 4
+// discards it: the Karger–Stein enumerator the flow engine replaced drew
+// its trial seed there, so Aug's sampling consumes the same stream as
+// before and every k >= 5 result is the one that enumerator gave whenever
+// it found every cut. The found cuts are sorted canonically, so the output
+// depends only on the graph and the cut size.
 //
-// # Arena ownership
+// # Scratch ownership
 //
-// All Karger–Stein trial scratch (per-level union-find, relabelling and
-// contracted edge buffers, side-bitset buffers, the per-trial RNG and
-// intern tables) lives in a cutArena recycled through a package sync.Pool. An arena is owned by
-// exactly one goroutine at a time; materialised cut bitsets are carved
-// from blocks that the arena detaches on reset, so cuts returned to
-// callers keep sole ownership of their memory after the arena is recycled.
-// Warm trials allocate only when they discover a never-before-seen
-// bipartition.
+// The flow engine's scratch (arc arrays, residual capacities, search marks
+// and the closed-set branching state) comes from a package sync.Pool in
+// internal/graph and is owned by one call at a time. Materialised cut
+// bitsets are carved from blocks of a cutStore that detaches them on
+// reset, so cuts returned to callers keep sole ownership of their memory.
+// A warm enumeration allocates only the cuts it returns.
 //
-// Cut identity is 64-bit FNV-1a hashed and resolved by intern tables that
-// compare the underlying data on hash collision — inside trials over the
-// sorted crossing-edge signature (O(λ) per probe; for a minimum cut the λ
-// crossing edges determine the bipartition), in the size-2 exact
-// enumerator over the bipartition bitset. The size-3 enumerator needs no
-// dedup: distinct confirmed triples are distinct bipartitions. Aug's coverage
+// The size-2 enumerator dedups bipartitions through an intern table that
+// hashes the bitset with 64-bit FNV-1a and compares the words on hash
+// collision; sizes 3 and up need no dedup, since distinct confirmed triples
+// and distinct closed sets are distinct bipartitions. Aug's coverage
 // bookkeeping then works on dense cut indices (covered bitmaps, candidate
 // cut-index lists) — no string keys on any hot path.
 //

@@ -12,60 +12,43 @@ import (
 
 // --- Cut enumeration -------------------------------------------------------
 
-// bruteForceMinCuts enumerates bipartitions (S, V\S) with |δ(S)| == size by
-// trying every subset (n <= 16).
-func bruteForceMinCuts(h *graph.Graph, size int) map[string]bool {
+// bruteForceMinCuts returns λ(h) and every bipartition crossed by exactly
+// λ edges, in sortCuts order, by visiting all 2^(n-1) bipartitions with
+// vertex 0 on side 0 (n ≤ 20). A disconnected h has λ = 0, and a graph
+// with one vertex reports M()+1 and no cuts.
+func bruteForceMinCuts(h *graph.Graph) (int, []Cut) {
 	n := h.N()
-	out := make(map[string]bool)
+	lambda := h.M() + 1
+	var masks []int
 	for mask := 1; mask < 1<<uint(n-1); mask++ {
-		// Vertex 0 always outside S (canonical orientation).
-		inS := func(v int) bool { return v != 0 && mask&(1<<uint(v-1)) != 0 }
+		side := mask << 1 // vertex v > 0 is inside iff bit v is set
 		crossing := 0
 		for _, e := range h.Edges() {
-			if inS(e.U) != inS(e.V) {
+			if (side>>uint(e.U))&1 != (side>>uint(e.V))&1 {
 				crossing++
 			}
 		}
-		if crossing != size {
-			continue
+		if crossing < lambda {
+			lambda, masks = crossing, masks[:0]
 		}
-		// Both sides must be connected (minimum cuts only).
-		if !sideConnected(h, inS, true) || !sideConnected(h, inS, false) {
-			continue
+		if crossing == lambda {
+			masks = append(masks, side)
 		}
-		c := newCut(n, inS)
-		out[c.Key()] = true
 	}
-	return out
+	cuts := make([]Cut, 0, len(masks))
+	for _, side := range masks {
+		cuts = append(cuts, newCut(n, func(v int) bool { return (side>>uint(v))&1 != 0 }))
+	}
+	sortCuts(cuts)
+	return lambda, cuts
 }
 
-func sideConnected(h *graph.Graph, inS func(int) bool, side bool) bool {
-	var start = -1
-	count := 0
-	for v := 0; v < h.N(); v++ {
-		if inS(v) == side {
-			count++
-			if start == -1 {
-				start = v
-			}
-		}
+func cutKeySet(cuts []Cut) map[string]bool {
+	m := make(map[string]bool, len(cuts))
+	for _, c := range cuts {
+		m[c.Key()] = true
 	}
-	if count == 0 {
-		return false
-	}
-	seen := map[int]bool{start: true}
-	queue := []int{start}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, a := range h.Adj(v) {
-			if inS(a.To) == side && !seen[a.To] {
-				seen[a.To] = true
-				queue = append(queue, a.To)
-			}
-		}
-	}
-	return len(seen) == count
+	return m
 }
 
 func TestEnumerateMinCutsBridges(t *testing.T) {
@@ -85,7 +68,7 @@ func TestEnumerateMinCutsBridges(t *testing.T) {
 
 func TestEnumerateMinCutsAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, size := range []int{1, 2, 3} {
+	for _, size := range []int{1, 2, 3, 4, 5} {
 		for trial := 0; trial < 6; trial++ {
 			var h *graph.Graph
 			switch size {
@@ -100,24 +83,23 @@ func TestEnumerateMinCutsAgainstBruteForce(t *testing.T) {
 				h = graph.RandomKConnected(8+trial, 2, trial%3, rng, graph.UnitWeights())
 			case 3:
 				h = graph.Harary(3, 8+trial, graph.UnitWeights())
+			default:
+				h = graph.RandomKConnected(9+trial, size, trial, rng, graph.UnitWeights())
 			}
-			if h.EdgeConnectivity() != size {
+			lambda, want := bruteForceMinCuts(h)
+			if lambda != size {
 				continue // only minimum cuts are in scope
 			}
 			cuts, err := EnumerateMinCuts(h, size, rng)
 			if err != nil {
 				t.Fatalf("size %d trial %d: %v", size, trial, err)
 			}
-			got := make(map[string]bool, len(cuts))
-			for _, c := range cuts {
-				got[c.Key()] = true
+			got := cutKeySet(cuts)
+			if len(got) != len(cuts) || len(got) != len(want) {
+				t.Fatalf("size %d trial %d: %d cuts (%d distinct), want %d", size, trial, len(cuts), len(got), len(want))
 			}
-			want := bruteForceMinCuts(h, size)
-			if len(got) != len(want) {
-				t.Fatalf("size %d trial %d: %d cuts, want %d", size, trial, len(got), len(want))
-			}
-			for k := range want {
-				if !got[k] {
+			for _, c := range want {
+				if !got[c.Key()] {
 					t.Fatalf("size %d trial %d: missing cut", size, trial)
 				}
 			}

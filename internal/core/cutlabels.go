@@ -63,7 +63,7 @@ func cutsByLabels(h *graph.Graph, seed int64) []Cut {
 	// inside: those covering the tree edge.
 	lab := make([]uint64, m)
 	acc := make([]uint64, n)
-	var r ksRand
+	var r splitmix
 	r.seed(seed)
 	for _, e := range h.Edges() {
 		if !isTree[e.ID] {
@@ -133,4 +133,19 @@ func cutsByLabels(h *graph.Graph, seed int64) []Cut {
 	}
 	sortCuts(out)
 	return out
+}
+
+// splitmix is the label PRNG: splitmix64, whose O(1) seeding suits one
+// short stream per enumeration (math/rand's source regenerates a 607-entry
+// table per Seed).
+type splitmix struct{ s uint64 }
+
+func (r *splitmix) seed(v int64) { r.s = uint64(v) }
+
+func (r *splitmix) next() uint64 {
+	r.s += 0x9e3779b97f4a7c15
+	z := r.s
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -43,9 +42,8 @@ func newCut(n int, inSide func(v int) bool) Cut {
 func cutWords(n int) int { return (n + 63) / 64 }
 
 // Key returns a string identifying the bipartition. It survives as the
-// oracle-friendly identity used by tests and the reference enumerator; the
-// hot paths intern cuts through cutInterner's 64-bit hash table instead and
-// never materialise strings.
+// oracle-friendly identity used by tests; the hot paths intern cuts through
+// cutInterner's 64-bit hash table instead and never materialise strings.
 func (c Cut) Key() string {
 	b := make([]byte, 0, len(c.side)*8)
 	for _, w := range c.side {
@@ -183,41 +181,16 @@ func (it *cutInterner) add(side []uint64) (Cut, bool) {
 	return c, true
 }
 
-// CutEnumOptions tunes EnumerateMinCutsOpts. The zero value is the default:
-// Karger–Stein runs its full repetition count. Every field concerns
-// Karger–Stein (size >= 4); the exact enumerators for sizes 1–3 read none.
-type CutEnumOptions struct {
-	// LeafRecount switches the Karger–Stein base-case enumeration (size
-	// >= 4) back to the per-mask crossing recount instead of the gray-code
-	// sweep. The two visit the same bipartitions and produce identical
-	// output (pinned by the equivalence tests); the recount survives as the
-	// oracle.
-	LeafRecount bool
-	// MaxTrials caps the Karger–Stein repetition count (size >= 4), for
-	// tests that compare leaf strategies on graphs too large for the full
-	// w.h.p. schedule. 0 means no cap. Capped runs may miss cuts and must
-	// not be used for solving.
-	MaxTrials int
-	// Phase, if set, receives "ks-sweep" and "ks-materialise" PhaseEvents
-	// from the Karger–Stein enumeration (size >= 4). The exact size-3 path
-	// emits none. Nil costs nothing.
-	Phase PhaseObserver
-}
-
 // EnumerateMinCuts returns every cut of size exactly `size` of the connected
 // graph h, where size must equal h's edge connectivity (the cuts the Aug_k
-// step must cover). It dispatches to exact enumerators for sizes 1 (bridges),
-// 2 (cut pairs) and 3 (cycle-space labels, see cutlabels.go), and to
-// recursive Karger–Stein contraction for size >= 4. rng seeds the size-3
-// labels (one Int63 draw) and drives the contraction; it is unused for
-// sizes 1–2. An empty result for size >= 3 means λ(h) > size.
+// step must cover), in sortCuts order for sizes 3 and up. Every size is
+// enumerated exactly: bridges (1), cut pairs (2), cycle-space labels (3,
+// see cutlabels.go) and the unit-flow engine (4 and up, see cutsByFlow).
+// rng is required from size 3 on, where one Int63 is drawn once λ(h) is
+// known to be at least size (exactly size, from 4 on): it seeds the size-3
+// labels and is discarded from 4 on, so the caller's stream advances the
+// same way at every size. An empty result for size >= 3 means λ(h) > size.
 func EnumerateMinCuts(h *graph.Graph, size int, rng *rand.Rand) ([]Cut, error) {
-	return EnumerateMinCutsOpts(h, size, rng, CutEnumOptions{})
-}
-
-// EnumerateMinCutsOpts is EnumerateMinCuts with explicit enumeration
-// options (see CutEnumOptions).
-func EnumerateMinCutsOpts(h *graph.Graph, size int, rng *rand.Rand, opts CutEnumOptions) ([]Cut, error) {
 	if !h.Connected() {
 		return nil, fmt.Errorf("core: cut enumeration needs a connected graph")
 	}
@@ -228,41 +201,41 @@ func EnumerateMinCutsOpts(h *graph.Graph, size int, rng *rand.Rand, opts CutEnum
 		return cutsFromBridges(h), nil
 	case size == 2:
 		return cutsFromCutPairs(h)
+	case rng == nil:
+		return nil, fmt.Errorf("core: size-%d enumeration requires rng", size)
 	case size == 3:
-		if rng == nil {
-			return nil, fmt.Errorf("core: size-3 enumeration requires rng")
+		// The linear cap-3 check cannot tell 3 from more; an empty label
+		// enumeration does.
+		if lambda := h.EdgeConnectivityUpTo(3); lambda < 3 {
+			return nil, fmt.Errorf("core: graph has connectivity %d < requested cut size %d", lambda, size)
 		}
-		if ok, err := hasMinCutsOfSize(h, size); !ok {
-			return nil, err
-		}
-		// One Int63 draw seeds the labels, as one seeds the contraction
-		// trials: the caller's stream advances the same way whichever
-		// enumerator runs.
 		return cutsByLabels(h, rng.Int63()), nil
 	default:
-		return cutsByContraction(h, size, rng, opts)
+		return cutsByFlow(h, size, rng)
 	}
 }
 
-// hasMinCutsOfSize checks the size >= 3 precondition λ(h) == size on a
-// connected h. For size 3 it runs the linear cap-3 check, so λ >= 3 is all
-// it learns and the enumeration itself tells 3 from more (an empty result
-// means λ >= 4); larger sizes take one capped max-flow pass. It reports
-// false with a nil error when λ > size (no cuts of that size), and an error
-// when λ < size.
-func hasMinCutsOfSize(h *graph.Graph, size int) (bool, error) {
-	capped := size + 1
-	if size == 3 {
-		capped = 3 // 3 means 3 or more: an empty enumeration tells
-	}
-	lambda := h.EdgeConnectivityUpTo(capped)
+// cutsByFlow enumerates the size-edge minimum cuts of h with the unit-flow
+// engine (graph.EachMinCut), in sortCuts order. It reports none when
+// λ(h) > size and an error when λ(h) < size. When λ(h) == size it draws one
+// Int63 from rng and discards it: the Monte Carlo enumerator this engine
+// replaced drew its trial seed there, so every solve's random stream, and
+// with it every result, stays what it was whenever that enumerator found
+// every cut.
+func cutsByFlow(h *graph.Graph, size int, rng *rand.Rand) ([]Cut, error) {
+	var store cutStore
+	store.reset(h.N())
+	var out []Cut
+	lambda := h.EachMinCut(size, func(side []uint64) { out = append(out, store.alloc(side)) })
 	if lambda > size {
-		return false, nil // no cuts of this size: already (size+1)-connected
+		return nil, nil // no cuts of this size: already (size+1)-connected
 	}
 	if lambda < size {
-		return false, fmt.Errorf("core: graph has connectivity %d < requested cut size %d", lambda, size)
+		return nil, fmt.Errorf("core: graph has connectivity %d < requested cut size %d", lambda, size)
 	}
-	return true, nil
+	rng.Int63()
+	sortCuts(out)
+	return out, nil
 }
 
 // componentsSkipping labels the connected components of h with up to three
@@ -355,86 +328,5 @@ func cutsFromCutPairs(h *graph.Graph) ([]Cut, error) {
 			out = append(out, c)
 		}
 	}
-	return out, nil
-}
-
-// EnumerateMinCutsReference is the pre-Karger–Stein enumerator, retained as
-// the oracle for the equivalence corpus and for before/after benchmarking.
-// Semantics match EnumerateMinCuts; only the size >= 3 strategy differs:
-// 3n²·log n independent single-level contractions, each paying an O(m)
-// permutation allocation, a fresh union-find, and a string-keyed dedup.
-func EnumerateMinCutsReference(h *graph.Graph, size int, rng *rand.Rand) ([]Cut, error) {
-	if !h.Connected() {
-		return nil, fmt.Errorf("core: cut enumeration needs a connected graph")
-	}
-	switch {
-	case size <= 0:
-		return nil, fmt.Errorf("core: cut size %d out of range", size)
-	case size == 1:
-		return cutsFromBridges(h), nil
-	case size == 2:
-		return cutsFromCutPairs(h)
-	default:
-		return cutsByFlatContraction(h, size, rng)
-	}
-}
-
-// cutsByFlatContraction enumerates minimum cuts of the given size by
-// repeated single-level Karger contraction. Each minimum cut survives a
-// contraction run with probability >= 2/(n(n-1)), so O(n²·log n) runs find
-// all of them w.h.p.
-func cutsByFlatContraction(h *graph.Graph, size int, rng *rand.Rand) ([]Cut, error) {
-	if rng == nil {
-		return nil, fmt.Errorf("core: contraction enumeration requires rng")
-	}
-	lambda := h.EdgeConnectivityUpTo(size + 1)
-	if lambda > size {
-		return nil, nil // no cuts of this size: already (size+1)-connected
-	}
-	if lambda < size {
-		return nil, fmt.Errorf("core: graph has connectivity %d < requested cut size %d", lambda, size)
-	}
-	n := h.N()
-	trials := 3 * n * n * (bits.Len(uint(n)) + 1)
-	if trials < 200 {
-		trials = 200
-	}
-	seen := make(map[string]bool)
-	var out []Cut
-	edges := h.Edges()
-	for trial := 0; trial < trials; trial++ {
-		uf := graph.NewUnionFind(n)
-		perm := rng.Perm(len(edges))
-		remaining := n
-		for _, ei := range perm {
-			if remaining <= 2 {
-				break
-			}
-			e := edges[ei]
-			if uf.Union(e.U, e.V) {
-				remaining--
-			}
-		}
-		if remaining != 2 {
-			continue
-		}
-		// Count crossing edges.
-		r0 := uf.Find(0)
-		crossing := 0
-		for _, e := range edges {
-			if (uf.Find(e.U) == r0) != (uf.Find(e.V) == r0) {
-				crossing++
-			}
-		}
-		if crossing != size {
-			continue
-		}
-		c := newCut(n, func(v int) bool { return uf.Find(v) != r0 })
-		if k := c.Key(); !seen[k] {
-			seen[k] = true
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
 	return out, nil
 }

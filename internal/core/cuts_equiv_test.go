@@ -25,13 +25,10 @@ func multiplyEdges(g *graph.Graph, times int) *graph.Graph {
 }
 
 // equivCase is one corpus instance: a generator-family representative whose
-// edge connectivity (pinned by `lambda`) lies in {3,4,5}. A large case
-// takes the flat-contraction reference seconds to tens of seconds, so its
-// reference comparison is skipped under -short.
+// edge connectivity (pinned by `lambda`) lies in {3,4,5}.
 type equivCase struct {
 	name   string
 	lambda int
-	large  bool
 	build  func() *graph.Graph
 }
 
@@ -56,59 +53,52 @@ func level4H(seed int64) *graph.Graph {
 func equivCorpus() []equivCase {
 	u := graph.UnitWeights()
 	return []equivCase{
-		{"harary/k=3", 3, false, func() *graph.Graph { return graph.Harary(3, 14, u) }},
-		{"harary/k=4", 4, false, func() *graph.Graph { return graph.Harary(4, 14, u) }},
-		{"harary/k=5", 5, false, func() *graph.Graph { return graph.Harary(5, 14, u) }},
-		{"cycle-x2/k=4", 4, false, func() *graph.Graph { return multiplyEdges(graph.Cycle(12, u), 2) }},
-		{"circulant/k=4", 4, false, func() *graph.Graph { return graph.Circulant(13, 2, u) }},
-		{"randomk/k=4a", 4, false, func() *graph.Graph {
+		{"harary/k=3", 3, func() *graph.Graph { return graph.Harary(3, 14, u) }},
+		{"harary/k=4", 4, func() *graph.Graph { return graph.Harary(4, 14, u) }},
+		{"harary/k=5", 5, func() *graph.Graph { return graph.Harary(5, 14, u) }},
+		{"cycle-x2/k=4", 4, func() *graph.Graph { return multiplyEdges(graph.Cycle(12, u), 2) }},
+		{"circulant/k=4", 4, func() *graph.Graph { return graph.Circulant(13, 2, u) }},
+		{"randomk/k=4a", 4, func() *graph.Graph {
 			return graph.RandomKConnected(14, 3, 6, rand.New(rand.NewSource(11)), u)
 		}},
-		{"randomk/k=4b", 4, false, func() *graph.Graph {
+		{"randomk/k=4b", 4, func() *graph.Graph {
 			return graph.RandomKConnected(16, 4, 2, rand.New(rand.NewSource(7)), u)
 		}},
-		{"grid-x2/k=4", 4, false, func() *graph.Graph { return multiplyEdges(graph.Grid(3, 5, u), 2) }},
-		{"cliquechain/k=3", 3, false, func() *graph.Graph { return graph.CliqueChain(3, 5, 3, u) }},
-		{"cliquechain/k=4", 4, false, func() *graph.Graph { return graph.CliqueChain(3, 6, 4, u) }},
-		{"cliquechain/k=5", 5, false, func() *graph.Graph { return graph.CliqueChain(2, 6, 5, u) }},
-		{"geometric/k=3", 3, false, func() *graph.Graph {
+		{"grid-x2/k=4", 4, func() *graph.Graph { return multiplyEdges(graph.Grid(3, 5, u), 2) }},
+		{"cliquechain/k=3", 3, func() *graph.Graph { return graph.CliqueChain(3, 5, 3, u) }},
+		{"cliquechain/k=4", 4, func() *graph.Graph { return graph.CliqueChain(3, 6, 4, u) }},
+		{"cliquechain/k=5", 5, func() *graph.Graph { return graph.CliqueChain(2, 6, 5, u) }},
+		{"geometric/k=3", 3, func() *graph.Graph {
 			return graph.RandomGeometric(16, 0.30, 2, rand.New(rand.NewSource(2)))
 		}},
-		{"geometric/k=5", 5, false, func() *graph.Graph {
+		{"geometric/k=5", 5, func() *graph.Graph {
 			return graph.RandomGeometric(16, 0.35, 3, rand.New(rand.NewSource(1)))
 		}},
-		{"chunglu/k=5", 5, false, func() *graph.Graph {
+		{"chunglu/k=5", 5, func() *graph.Graph {
 			return graph.ChungLu(16, 2.5, 6, 3, rand.New(rand.NewSource(1)), u)
 		}},
-		{"fattree-x2/k=4", 4, false, func() *graph.Graph { return multiplyEdges(graph.FatTree(4, u), 2) }},
-		{"paperfig2-x2/k=4", 4, false, func() *graph.Graph { return multiplyEdges(graph.PaperFigure2Graph(), 2) }},
-		{"triple-edge/k=3", 3, false, tripleEdge},
-		{"harary/k=3/n=255", 3, true, func() *graph.Graph { return graph.Harary(3, 255, u) }},
-		{"kecss-cuts-H/seed=1", 3, true, func() *graph.Graph { return level4H(1) }},
-		{"kecss-cuts-H/seed=2", 3, true, func() *graph.Graph { return level4H(2) }},
+		{"fattree-x2/k=4", 4, func() *graph.Graph { return multiplyEdges(graph.FatTree(4, u), 2) }},
+		{"paperfig2-x2/k=4", 4, func() *graph.Graph { return multiplyEdges(graph.PaperFigure2Graph(), 2) }},
+		{"triple-edge/k=3", 3, tripleEdge},
+		{"harary/k=3/n=255", 3, func() *graph.Graph { return graph.Harary(3, 255, u) }},
+		{"kecss-cuts-H/seed=1", 3, func() *graph.Graph { return level4H(1) }},
+		{"kecss-cuts-H/seed=2", 3, func() *graph.Graph { return level4H(2) }},
 	}
 }
 
-func cutKeySet(cuts []Cut) map[string]bool {
-	m := make(map[string]bool, len(cuts))
-	for _, c := range cuts {
-		m[c.Key()] = true
-	}
-	return m
-}
+// bruteForceMaxN bounds the corpus cases checked against brute force: 2^19
+// bipartitions at most.
+const bruteForceMaxN = 20
 
-// TestEnumerateMinCutsEquivalenceCorpus asserts that EnumerateMinCuts
-// returns exactly the same cut sets (canonical bipartitions) as the
-// retained flat-Karger reference across all ten generator families at
-// sizes 3–5. On every λ=3 case it also pins the exact label path to
-// Karger–Stein called directly: both sort canonically, so the slices must
-// be identical.
+// TestEnumerateMinCutsEquivalenceCorpus pins EnumerateMinCuts to exact
+// oracles across the ten generator families at sizes 3–5: to brute force
+// over every bipartition wherever n ≤ 20, and on every λ=3 case, large
+// ones included, to the unit-flow engine called directly, an enumerator
+// independent of the cycle-space labels that serve size 3. Both sort
+// canonically, so the slices must be identical.
 func TestEnumerateMinCutsEquivalenceCorpus(t *testing.T) {
 	for _, tc := range equivCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.large {
-				t.Parallel()
-			}
 			g := tc.build()
 			if lam := g.EdgeConnectivity(); lam != tc.lambda {
 				t.Fatalf("corpus drift: λ=%d, case pins %d", lam, tc.lambda)
@@ -121,41 +111,33 @@ func TestEnumerateMinCutsEquivalenceCorpus(t *testing.T) {
 				t.Fatal("no cuts found")
 			}
 			if tc.lambda == 3 {
-				ks, err := cutsByContraction(g, 3, rand.New(rand.NewSource(202)), CutEnumOptions{})
+				flow, err := cutsByFlow(g, 3, rand.New(rand.NewSource(202)))
 				if err != nil {
-					t.Fatalf("karger–stein: %v", err)
+					t.Fatalf("flow engine: %v", err)
 				}
-				if !reflect.DeepEqual(got, ks) {
-					t.Fatalf("label path and karger–stein differ: %d vs %d cuts", len(got), len(ks))
+				if !reflect.DeepEqual(got, flow) {
+					t.Fatalf("label path and flow engine differ: %d vs %d cuts", len(got), len(flow))
 				}
 			}
-			if tc.large && testing.Short() {
+			if g.N() > bruteForceMaxN {
 				return
 			}
-			ref, err := EnumerateMinCutsReference(g, tc.lambda, rand.New(rand.NewSource(101)))
-			if err != nil {
-				t.Fatalf("reference: %v", err)
-			}
-			refSet, gotSet := cutKeySet(ref), cutKeySet(got)
-			if len(ref) != len(refSet) || len(got) != len(gotSet) {
-				t.Fatalf("duplicate cuts: ref %d/%d, got %d/%d", len(ref), len(refSet), len(got), len(gotSet))
-			}
-			if !reflect.DeepEqual(refSet, gotSet) {
-				t.Fatalf("cut sets differ: reference %d cuts, enumerate %d cuts", len(refSet), len(gotSet))
+			if lam, want := bruteForceMinCuts(g); lam != tc.lambda || !reflect.DeepEqual(got, want) {
+				t.Fatalf("brute force: λ=%d, %d cuts; enumerate %d cuts", lam, len(want), len(got))
 			}
 		})
 	}
 }
 
 // TestEnumerateMinCutsConcurrentDeterministic pins the determinism contract
-// on a larger instance under concurrent enumeration: the arenas come from a
-// shared sync.Pool, so goroutines enumerating at once must not interfere
-// (run with -race).
+// of the unit-flow engine (λ = 4 here) under concurrent enumeration: its
+// scratch comes from a shared sync.Pool, so goroutines enumerating at once
+// must not interfere (run with -race).
 func TestEnumerateMinCutsConcurrentDeterministic(t *testing.T) {
 	g := graph.RandomKConnected(48, 4, 10, rand.New(rand.NewSource(5)), graph.UnitWeights())
 	size := g.EdgeConnectivity()
-	if size < 3 {
-		t.Fatalf("instance drift: λ=%d < 3", size)
+	if size != 4 {
+		t.Fatalf("instance drift: λ=%d, want 4", size)
 	}
 	want, err := EnumerateMinCuts(g, size, rand.New(rand.NewSource(9)))
 	if err != nil {
@@ -187,8 +169,8 @@ func TestEnumerateMinCutsConcurrentDeterministic(t *testing.T) {
 
 // TestEnumerateMinCutsChecksConnectivity pins the enumerator's own λ check
 // on a 4-edge-connected graph: size 3 (the linear cap-3 check, then an empty
-// label enumeration) finds no cuts, size 4 (one capped max-flow pass) finds
-// the 4-cuts, and size 5 is an error because λ < 5.
+// label enumeration) finds no cuts, size 4 (one unit-flow pass) finds the
+// 4-cuts, and size 5 is an error because λ < 5.
 func TestEnumerateMinCutsChecksConnectivity(t *testing.T) {
 	g := graph.Harary(4, 14, graph.UnitWeights())
 	none, err := EnumerateMinCuts(g, 3, rand.New(rand.NewSource(3)))
@@ -202,14 +184,8 @@ func TestEnumerateMinCutsChecksConnectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bruteForceMinCuts(g, 4)
-	if len(got) != len(want) {
-		t.Fatalf("size 4: got %d cuts, brute force finds %d", len(got), len(want))
-	}
-	for _, c := range got {
-		if !want[c.Key()] {
-			t.Fatal("size 4: enumerated a cut brute force does not know")
-		}
+	if lam, want := bruteForceMinCuts(g); lam != 4 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("size 4: got %d cuts, brute force finds %d (λ=%d)", len(got), len(want), lam)
 	}
 	if _, err := EnumerateMinCuts(g, 5, rand.New(rand.NewSource(3))); err == nil {
 		t.Fatal("λ = 4 < size 5 must error")
@@ -297,102 +273,126 @@ func TestEnumerateMinCutsTwoVertexMultigraph(t *testing.T) {
 	}
 }
 
-func BenchmarkEquivalenceCorpusKargerStein(b *testing.B) {
-	// Convenience: per-corpus-case timing of the new enumerator.
-	for _, tc := range equivCorpus() {
-		g := tc.build()
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := EnumerateMinCuts(g, tc.lambda, rand.New(rand.NewSource(int64(i)))); err != nil {
-					b.Fatal(err)
+// TestEnumerateMinCutsLargeFamilies checks both exact enumerators far
+// beyond brute force, on families whose minimum cuts are known in closed
+// form: Harary(k, n) for k = 3, 4 and large n has exactly the n singleton
+// cuts, and the doubled cycle on n vertices has one 4-cut per arc {i..j}
+// of the cycle avoiding vertex 0, n(n−1)/2 in all. At size 3 the label path
+// and the flow engine must also agree slice for slice.
+func TestEnumerateMinCutsLargeFamilies(t *testing.T) {
+	u := graph.UnitWeights()
+	singletons := func(t *testing.T, g *graph.Graph, cuts []Cut) {
+		t.Helper()
+		if len(cuts) != g.N() {
+			t.Fatalf("%d cuts, want the %d singletons", len(cuts), g.N())
+		}
+		for _, c := range cuts {
+			in := 0
+			for v := 0; v < g.N(); v++ {
+				if c.contains(v) {
+					in++
 				}
 			}
-		})
-	}
-}
-
-// cutSliceDigest folds every cut's bitset words, in slice order, into one
-// order-sensitive 64-bit digest (FNV-1a). Byte-identical cut slices produce
-// equal digests, and any divergence — content or order — flips it w.h.p.;
-// used where the result sets are too large to hold two at once.
-func cutSliceDigest(cuts []Cut) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, c := range cuts {
-		for _, w := range c.side {
-			for s := 0; s < 64; s += 8 {
-				h ^= (w >> uint(s)) & 0xff
-				h *= prime
+			if in != 1 && in != g.N()-1 {
+				t.Fatalf("a cut with %d vertices on one side is not a singleton", in)
 			}
 		}
 	}
-	return h
-}
-
-// TestGrayCodeMatchesRecountLarge pins the gray-code leaf sweep against the
-// per-mask recount oracle on ring-like instances at n=4096 — large enough
-// that the contraction tree is ~19 levels deep and the sweep's incremental
-// crossing counts, sibling-shared leaf materialisation, and composed
-// component maps all operate far outside the small-n regime the corpus
-// above covers. MaxTrials caps the Karger–Stein schedule to a smoke (capped
-// runs may miss cuts; irrelevant here — both evaluators walk the same
-// capped trajectory), and with identical seeds the two must return
-// byte-identical cut slices. The doubled cycle is
-// cut-dense (a single capped trial materialises >10^6 bipartitions), so its
-// runs are compared by order-sensitive digest and released one at a time
-// instead of held side by side.
-func TestGrayCodeMatchesRecountLarge(t *testing.T) {
-	if testing.Short() {
-		t.Skip("n=4096 equivalence family; skipped in -short")
-	}
-	u := graph.UnitWeights()
-
-	// Size 3 is enumerated by cycle-space labels, so this ring calls
-	// Karger–Stein directly to reach its leaves.
 	t.Run("harary-ring/k=3/n=4096", func(t *testing.T) {
 		g := graph.Harary(3, 4096, u)
-		opts := CutEnumOptions{MaxTrials: 2}
-		sweep, err := cutsByContraction(g, 3, rand.New(rand.NewSource(77)), opts)
+		got, err := EnumerateMinCuts(g, 3, rand.New(rand.NewSource(77)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(sweep) == 0 {
-			t.Fatal("capped run found no cuts; family or cap drifted")
-		}
-		ro := opts
-		ro.LeafRecount = true
-		recount, err := cutsByContraction(g, 3, rand.New(rand.NewSource(77)), ro)
+		singletons(t, g, got)
+		flow, err := cutsByFlow(g, 3, rand.New(rand.NewSource(77)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(sweep, recount) {
-			t.Fatalf("gray-code sweep and recount diverge: %d vs %d cuts", len(sweep), len(recount))
+		if !reflect.DeepEqual(got, flow) {
+			t.Fatalf("label path and flow engine differ: %d vs %d cuts", len(got), len(flow))
 		}
 	})
-
-	t.Run("cycle-x2/k=4/n=4096", func(t *testing.T) {
-		g := multiplyEdges(graph.Cycle(4096, u), 2)
-		opts := CutEnumOptions{MaxTrials: 1}
-		run := func(o CutEnumOptions) (int, uint64) {
-			cuts, err := EnumerateMinCutsOpts(g, 4, rand.New(rand.NewSource(77)), o)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("harary-ring/k=4/n=4096", func(t *testing.T) {
+		g := graph.Harary(4, 4096, u)
+		got, err := EnumerateMinCuts(g, 4, rand.New(rand.NewSource(77)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		singletons(t, g, got)
+	})
+	t.Run("cycle-x2/k=4/n=200", func(t *testing.T) {
+		const n = 200
+		g := multiplyEdges(graph.Cycle(n, u), 2)
+		got, err := EnumerateMinCuts(g, 4, rand.New(rand.NewSource(77)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []Cut
+		for i := 1; i < n; i++ {
+			for j := i; j < n; j++ {
+				want = append(want, newCut(n, func(v int) bool { return v >= i && v <= j }))
 			}
-			return len(cuts), cutSliceDigest(cuts)
 		}
-		n1, d1 := run(opts)
-		if n1 == 0 {
-			t.Fatal("capped run found no cuts; family or cap drifted")
-		}
-		ro := opts
-		ro.LeafRecount = true
-		n2, d2 := run(ro)
-		if n1 != n2 || d1 != d2 {
-			t.Fatalf("gray-code sweep and recount diverge: %d/%#x vs %d/%#x cuts", n1, d1, n2, d2)
+		sortCuts(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d cuts, want the %d arcs", len(got), len(want))
 		}
 	})
+}
+
+// FuzzEnumerateMinCuts pins EnumerateMinCuts at sizes 3–6 to brute force on
+// multigraphs with n ≤ 12: on λ = size inputs it must return exactly the
+// minimum cuts in canonical order, on λ > size none, and on λ < size an
+// error. Its seeds are the corpus families small enough to decode, at their
+// own λ and one off it.
+func FuzzEnumerateMinCuts(f *testing.F) {
+	u := graph.UnitWeights()
+	for _, g := range []*graph.Graph{
+		graph.Harary(3, 12, u),
+		graph.Harary(4, 12, u),
+		graph.Harary(5, 12, u),
+		graph.Harary(6, 12, u),
+		multiplyEdges(graph.Cycle(12, u), 2),
+		multiplyEdges(graph.Cycle(7, u), 3),
+		graph.Circulant(12, 2, u),
+		graph.CliqueChain(2, 6, 5, u),
+		multiplyEdges(graph.PaperFigure2Graph(), 2),
+		tripleEdge(),
+	} {
+		lam := g.EdgeConnectivity()
+		for _, size := range []int{lam - 1, lam, lam + 1} {
+			f.Add(encodeMultigraph(g), uint8(size-3), int64(size))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, sizeByte uint8, seed int64) {
+		g := fuzzMultigraph(data, 12)
+		size := 3 + int(sizeByte)%4
+		got, err := EnumerateMinCuts(g, size, rand.New(rand.NewSource(seed)))
+		lambda, want := bruteForceMinCuts(g)
+		switch {
+		case lambda < size:
+			if err == nil {
+				t.Fatalf("λ=%d < size %d: want an error, got %d cuts", lambda, size, len(got))
+			}
+		case err != nil:
+			t.Fatalf("λ=%d, size %d: %v", lambda, size, err)
+		case lambda > size:
+			if len(got) != 0 {
+				t.Fatalf("λ=%d > size %d: want no cuts, got %d", lambda, size, len(got))
+			}
+		case !reflect.DeepEqual(got, want):
+			t.Fatalf("λ=size=%d: got %d cuts, brute force %d", size, len(got), len(want))
+		}
+	})
+}
+
+// encodeMultigraph is the inverse of fuzzMultigraph for graphs it can
+// decode: n−2 in the first byte, then one byte pair per edge.
+func encodeMultigraph(g *graph.Graph) []byte {
+	data := []byte{byte(g.N() - 2)}
+	for _, e := range g.Edges() {
+		data = append(data, byte(e.U), byte(e.V))
+	}
+	return data
 }

@@ -48,11 +48,26 @@ type KECSSResult struct {
 	Rounds int64
 	// Iterations is the total Aug iteration count across levels.
 	Iterations int
-	// Levels records the per-level augmentation results (Levels[0] is the
-	// MST step and has only Added/Weight/Rounds populated). Their
-	// per-iteration E6 traces (MaxCutDegreeTrace, PTrace) are not kept;
-	// a direct Aug call returns them.
-	Levels []*AugResult
+	// Levels records each level's totals: Levels[0] is the MST step (Added,
+	// Weight and Rounds only), Levels[i] the Aug_{i+1} step. A direct Aug
+	// call returns the added edges and the per-iteration E6 traces.
+	Levels []LevelSummary
+}
+
+// LevelSummary is one level of a k-ECSS solve, as totals only: a result
+// outlives its solve (pools and servers keep it), and the level's edges are
+// already in KECSSResult.Edges.
+type LevelSummary struct {
+	// Added is the number of edges the level added.
+	Added int
+	// Weight is their total weight.
+	Weight int64
+	// Iterations is the level's sampling-iteration count.
+	Iterations int
+	// Cuts is the number of minimum cuts the level had to cover.
+	Cuts int
+	// Rounds is the level's charged/measured round count.
+	Rounds int64
 }
 
 // SolveKECSS computes a k-edge-connected spanning subgraph of g by the
@@ -72,11 +87,12 @@ func SolveKECSS(g *graph.Graph, k int, opts KECSSOptions) (*KECSSResult, error) 
 	if !ok {
 		return nil, fmt.Errorf("core: input graph is not %d-edge-connected", k)
 	}
-	res := &KECSSResult{Levels: make([]*AugResult, 0, k)}
+	res := &KECSSResult{Levels: make([]LevelSummary, 0, k)}
 
 	// Level 1: MST.
-	level1 := &AugResult{}
 	t0 = opts.Phase.phaseStart()
+	var h []int
+	var level1 LevelSummary
 	var mstMessages int64
 	if opts.SimulateMST {
 		var simOpts []congest.Option
@@ -90,23 +106,20 @@ func SolveKECSS(g *graph.Graph, k int, opts KECSSOptions) (*KECSSResult, error) 
 		if err != nil {
 			return nil, fmt.Errorf("core: distributed MST: %w", err)
 		}
-		level1.Added = mres.EdgeIDs
-		level1.Weight = mres.Weight
+		h, level1.Weight = mres.EdgeIDs, mres.Weight
 		level1.Rounds = int64(mres.Metrics.Rounds)
 		mstMessages = mres.Metrics.Messages
 	} else {
-		ids, w := mst.Kruskal(g)
-		level1.Added = ids
-		level1.Weight = w
+		h, level1.Weight = mst.Kruskal(g)
 		level1.Rounds = rounds.MSTKuttenPeleg(g.N(), g.DiameterEstimate())
 	}
+	level1.Added = len(h)
 	opts.Phase.emit(PhaseEvent{
 		Phase: "mst", Level: 1, Start: t0,
-		Rounds: level1.Rounds, Messages: mstMessages, Items: len(level1.Added),
+		Rounds: level1.Rounds, Messages: mstMessages, Items: level1.Added,
 	})
-	level1.Added = exactInts(level1.Added)
 	res.Levels = append(res.Levels, level1)
-	h := append([]int(nil), level1.Added...)
+	h = append([]int(nil), h...)
 	res.Rounds += level1.Rounds
 
 	for i := 2; i <= k; i++ {
@@ -117,27 +130,22 @@ func SolveKECSS(g *graph.Graph, k int, opts KECSSOptions) (*KECSSResult, error) 
 		res.Rounds += ar.Rounds
 		res.Iterations += ar.Iterations
 		h = append(h, ar.Added...)
-		// A result outlives its solve (pools and servers keep it), so it
-		// keeps per-level totals only and no spare slice capacity.
-		ar.Added = exactInts(ar.Added)
-		ar.MaxCutDegreeTrace, ar.PTrace = nil, nil
-		res.Levels = append(res.Levels, ar)
+		res.Levels = append(res.Levels, LevelSummary{
+			Added: len(ar.Added), Weight: ar.Weight, Iterations: ar.Iterations, Cuts: ar.Cuts, Rounds: ar.Rounds,
+		})
 	}
 	sort.Ints(h)
 	if k >= 4 {
-		// Levels up to 4 enumerate exactly (bridges, cut pairs, cycle-space
-		// labels for size 3). Levels from 5 on enumerate by Karger–Stein,
-		// complete w.h.p. but not certainly; intermediate misses surface at
-		// the next level's connectivity check, but the final level has no
-		// next level. The pooled-Dinic audit makes a missed cut an explicit
-		// error instead of a silently under-connected result; at k = 4 it
-		// stays as a safety net.
+		// Every level enumerates its cuts exactly, so the output is
+		// k-edge-connected by construction; the audit re-checks it on the
+		// unit-flow engine, so a defect anywhere in the levels surfaces as
+		// an error instead of an under-connected result.
 		t0 := opts.Phase.phaseStart()
 		sub, _ := g.SubgraphOf(h)
 		ok := sub.IsKEdgeConnected(k)
 		opts.Phase.emit(PhaseEvent{Phase: "audit", Level: k, Start: t0, Items: len(h)})
 		if !ok {
-			return nil, fmt.Errorf("core: %d-ECSS output failed the connectivity audit (cut enumeration missed a minimum cut; rerun with another seed)", k)
+			return nil, fmt.Errorf("core: %d-ECSS output failed the connectivity audit", k)
 		}
 	}
 	res.Edges = exactInts(h)

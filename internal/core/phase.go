@@ -16,13 +16,10 @@ import "time"
 //	                        rebalance (only when Rebalance triggers)
 //	Solve3ECSSWeighted:     validate, base, base-label, augment, correction,
 //	                        rebalance (only when Rebalance triggers)
-//	EnumerateMinCutsOpts:   ks-sweep, ks-materialise (Karger–Stein, size
-//	                        >= 4 only, via CutEnumOptions.Phase; nested
-//	                        inside cut-enum when Aug forwards its observer)
 //
-// The exact size-3 enumeration (cycle-space labels) emits no event of its
-// own: at level 4 its time is the cut-enum span's self time, together with
-// the enumerator's linear λ check.
+// Cut enumeration emits no event of its own: a level's cut-enum span covers
+// the enumerator's λ check and the enumeration itself, whether the labels
+// (level 4) or the unit-flow engine (level 5 on) ran it.
 //
 // Every SolveKECSS and 3-ECSS solve, kecss.Pool sweeps included, checks its
 // input's connectivity itself and emits exactly one validate event.

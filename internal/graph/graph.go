@@ -1,8 +1,8 @@
 // Package graph provides the undirected weighted multigraph substrate used
 // by every algorithm in this repository: representation, traversals,
 // connectivity tests (bridges, cut pairs, edge connectivity — by one linear
-// DFS pass up to 3, by max-flow above — and global min cut), and the graph
-// generators used by the experiment harness.
+// DFS pass up to 3, by unit flows from a merged source above — and every
+// minimum cut), and the graph generators used by the experiment harness.
 //
 // Vertices are dense integers 0..N-1. Edges carry non-negative integer
 // weights, matching the paper's assumption that weights are integers

@@ -379,7 +379,7 @@ func TestGlobalMinCutWeight(t *testing.T) {
 		for trial := 0; trial < 10; trial++ {
 			g := RandomKConnected(8+rng.Intn(8), 2, 4, rng, UnitWeights())
 			if got, want := g.GlobalMinCutWeight(), int64(g.EdgeConnectivity()); got != want {
-				t.Fatalf("trial %d: StoerWagner=%d, Dinic=%d", trial, got, want)
+				t.Fatalf("trial %d: StoerWagner=%d, unit flow=%d", trial, got, want)
 			}
 		}
 	})
@@ -600,8 +600,8 @@ func TestUnionFindReset(t *testing.T) {
 }
 
 // TestEdgeConnectivityPooledReload interleaves connectivity queries on
-// graphs of very different sizes, which forces the pooled Dinic scratch to
-// reload across shapes — any stale arc state would surface as a wrong λ.
+// graphs of very different sizes, which forces the pooled unit-flow scratch
+// to reload across shapes — any stale arc state would surface as a wrong λ.
 func TestEdgeConnectivityPooledReload(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	big := RandomKConnected(120, 4, 80, rng, UnitWeights())

@@ -66,15 +66,18 @@ func blobRing(blobs int, links []int) *Graph {
 	return g
 }
 
-// checkSmallCapsMatchDinic compares EdgeConnectivityUpTo with the Dinic
-// oracle at caps 1..3, and the derived predicates with their definitions.
-func checkSmallCapsMatchDinic(t *testing.T, name string, g *Graph) {
+// checkCapsMatchDinic compares EdgeConnectivityUpTo with the Dinic oracle
+// at every cap from 1 to maxCap, and the derived predicates with their
+// definitions. Caps up to 3 run the cutScanner, larger ones the unit-flow
+// engine; one Dinic pass at maxCap answers every cap.
+func checkCapsMatchDinic(t *testing.T, name string, g *Graph, maxCap int) {
 	t.Helper()
-	for capLimit := 1; capLimit <= 3; capLimit++ {
-		want := capLimit
-		if g.N() > 1 {
-			want = g.dinicUpTo(capLimit)
-		}
+	lam := maxCap
+	if g.N() > 1 {
+		lam = g.dinicUpTo(maxCap)
+	}
+	for capLimit := 1; capLimit <= maxCap; capLimit++ {
+		want := min(lam, capLimit)
 		if got := g.EdgeConnectivityUpTo(capLimit); got != want {
 			t.Fatalf("%s (n=%d m=%d): EdgeConnectivityUpTo(%d) = %d, Dinic %d", name, g.N(), g.M(), capLimit, got, want)
 		}
@@ -82,7 +85,7 @@ func checkSmallCapsMatchDinic(t *testing.T, name string, g *Graph) {
 			t.Fatalf("%s: IsKEdgeConnected(%d) = %v, Dinic λ≥%d", name, capLimit, got, want)
 		}
 	}
-	if got, want := g.TwoEdgeConnected(), g.N() <= 1 || g.dinicUpTo(2) >= 2; got != want {
+	if got, want := g.TwoEdgeConnected(), lam >= 2; maxCap >= 2 && got != want {
 		t.Fatalf("%s: TwoEdgeConnected = %v, want %v", name, got, want)
 	}
 }
@@ -97,11 +100,11 @@ func TestEdgeConnectivityUpToSmallCapMatchesDinic(t *testing.T) {
 	for trial := 0; trial < 3000; trial++ {
 		n := rng.Intn(17)
 		g := randomMultigraph(rng, n, rng.Intn(3*n+1))
-		checkSmallCapsMatchDinic(t, fmt.Sprintf("random trial %d", trial), g)
+		checkCapsMatchDinic(t, fmt.Sprintf("random trial %d", trial), g, 3)
 	}
 	for n := 0; n <= 2; n++ {
 		for m := 0; m <= 3; m++ {
-			checkSmallCapsMatchDinic(t, fmt.Sprintf("n=%d m=%d", n, m), randomMultigraph(rng, n, m))
+			checkCapsMatchDinic(t, fmt.Sprintf("n=%d m=%d", n, m), randomMultigraph(rng, n, m), 3)
 		}
 	}
 
@@ -137,11 +140,11 @@ func TestEdgeConnectivityUpToSmallCapMatchesDinic(t *testing.T) {
 	}
 	for _, fam := range families {
 		name, g := fam.name, fam.g
-		checkSmallCapsMatchDinic(t, name, g)
+		checkCapsMatchDinic(t, name, g, 3)
 		// Damage: drop one, two and three random edges.
 		perm := rng.Perm(g.M())
 		for drop := 1; drop <= 3 && drop <= len(perm); drop++ {
-			checkSmallCapsMatchDinic(t, fmt.Sprintf("%s minus %d", name, drop), withoutEdges(g, perm[:drop]...))
+			checkCapsMatchDinic(t, fmt.Sprintf("%s minus %d", name, drop), withoutEdges(g, perm[:drop]...), 3)
 		}
 		// Damage that cuts a vertex down to degree 2, 1 and 0.
 		v := rng.Intn(g.N())
@@ -151,7 +154,7 @@ func TestEdgeConnectivityUpToSmallCapMatchesDinic(t *testing.T) {
 		}
 		for keep := 2; keep >= 0; keep-- {
 			if keep < len(inc) {
-				checkSmallCapsMatchDinic(t, fmt.Sprintf("%s vertex %d degree %d", name, v, keep), withoutEdges(g, inc[keep:]...))
+				checkCapsMatchDinic(t, fmt.Sprintf("%s vertex %d degree %d", name, v, keep), withoutEdges(g, inc[keep:]...), 3)
 			}
 		}
 	}
@@ -184,7 +187,7 @@ func fuzzMultigraph(data []byte) *Graph {
 func FuzzEdgeConnectivityUpTo3(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := fuzzMultigraph(data)
-		checkSmallCapsMatchDinic(t, "fuzz", g)
+		checkCapsMatchDinic(t, "fuzz", g, 3)
 		if g.N() > 1 && g.dinicUpTo(2) >= 2 {
 			got, want := g.CutPairs(), cutPairsBruteForce(g)
 			if (len(got) != 0 || len(want) != 0) && !reflect.DeepEqual(got, want) {
@@ -195,9 +198,9 @@ func FuzzEdgeConnectivityUpTo3(f *testing.F) {
 }
 
 // TestEdgeConnectivityUpToConcurrent runs the pooled scanner and the pooled
-// Dinic from several goroutines at once, on graphs of different sizes, and
-// compares every answer with a serial run: pooled scratch must never be
-// shared between two live queries.
+// unit-flow engine from several goroutines at once, on graphs of different
+// sizes, and compares every answer with a serial run: pooled scratch must
+// never be shared between two live queries.
 func TestEdgeConnectivityUpToConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	graphs := []*Graph{
