@@ -208,6 +208,24 @@ func BenchmarkMicro_TAPAugment(b *testing.B) {
 	}
 }
 
+// BenchmarkMicro_Solve2ECSSSimulated is one task of the simulated-MST 2-ECSS
+// workload: n=1600 with 3200 extra edges, Borůvka on the CONGEST simulator,
+// solved through a one-worker pool so the worker's arena stays warm.
+func BenchmarkMicro_Solve2ECSSSimulated(b *testing.B) {
+	b.ReportAllocs()
+	rng := rand.New(rand.NewSource(1))
+	g := graph.RandomKConnected(1600, 2, 3200, rng, graph.RandomWeights(rng, 1000))
+	p := NewPool(1)
+	defer p.Close()
+	tasks := []Task{{Graph: g, Solver: Solver2ECSS, K: 2, Opts: []Option{WithSeed(1), WithSimulatedMST()}}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := p.Sweep(tasks)[0]; r.Err != nil {
+			b.Fatal(r.Err)
+		}
+	}
+}
+
 func BenchmarkMicro_Solve2ECSSEndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(6))

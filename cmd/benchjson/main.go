@@ -14,6 +14,9 @@
 // immediately. The ns/op ceilings are the coarse guard for the opt-in
 // large-bench smoke, where a single n=10^4 solve at -benchtime 1x is the
 // whole measurement.
+//
+// Report names drop the -N suffix that `go test` appends when GOMAXPROCS is
+// not 1, so one benchmark has one name on every machine.
 package main
 
 import (
@@ -62,6 +65,8 @@ func (c *ceilingList) Set(v string) error {
 // parseLine parses one benchmark result line, e.g.
 //
 //	BenchmarkFoo/case=1-8   	 100	 123456 ns/op	 789 B/op	 12 allocs/op
+//
+// into a result named BenchmarkFoo/case=1.
 func parseLine(line string) (benchResult, bool) {
 	if !strings.HasPrefix(line, "Benchmark") {
 		return benchResult{}, false
@@ -75,7 +80,7 @@ func parseLine(line string) (benchResult, bool) {
 	if err1 != nil || err2 != nil {
 		return benchResult{}, false
 	}
-	r := benchResult{Name: fields[0], Iterations: iters, NsPerOp: ns}
+	r := benchResult{Name: stripProcs(fields[0]), Iterations: iters, NsPerOp: ns}
 	for i := 4; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -89,6 +94,22 @@ func parseLine(line string) (benchResult, bool) {
 		}
 	}
 	return r, true
+}
+
+// stripProcs removes the trailing -N (GOMAXPROCS) that the testing package
+// appends to a benchmark name. A sub-benchmark whose own name ended in
+// -digits would lose them too, so sub-benchmark names avoid that shape.
+func stripProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }
 
 func main() {

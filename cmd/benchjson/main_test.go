@@ -18,3 +18,19 @@ func TestCeilingSetSubBenchmarkName(t *testing.T) {
 		}
 	}
 }
+
+// TestParseLineStripsProcs: the GOMAXPROCS suffix is not part of the
+// reported name, and names without one pass through unchanged.
+func TestParseLineStripsProcs(t *testing.T) {
+	for line, want := range map[string]string{
+		"BenchmarkMicro_EdgeConnectivityUpTo/k=4/n=512-2 \t 300\t 3968245 ns/op\t 0 B/op\t 0 allocs/op": "BenchmarkMicro_EdgeConnectivityUpTo/k=4/n=512",
+		"BenchmarkMicro_Solve3ECSSEndToEnd/n=64 \t 198\t 1148478 ns/op":                                 "BenchmarkMicro_Solve3ECSSEndToEnd/n=64",
+		"BenchmarkAblation_ExecutorSequential-16 \t 1\t 5000 ns/op":                                     "BenchmarkAblation_ExecutorSequential",
+		"BenchmarkX/mode=a-b \t 1\t 5 ns/op":                                                            "BenchmarkX/mode=a-b",
+	} {
+		r, ok := parseLine(line)
+		if !ok || r.Name != want {
+			t.Errorf("parseLine(%q) = %q, %v; want %q", line, r.Name, ok, want)
+		}
+	}
+}

@@ -47,6 +47,8 @@ type NetworkArena struct {
 	ctxs       []Context
 	done       []bool
 	inboxes    [][]Message
+	step       []int32
+	wake       []uint64
 	nbrPort    map[int64]int32
 	stamp      uint32
 	busy       bool
@@ -105,6 +107,8 @@ func (a *NetworkArena) acquire(g *graph.Graph, ports int, restricted bool) (stam
 	a.ctxs = growSlice(a.ctxs, nv)
 	a.done = growSlice(a.done, nv)
 	a.inboxes = growSlice(a.inboxes, nv)
+	a.step = growSlice(a.step, nv)
+	a.wake = growSlice(a.wake, wakeWords(nv))
 	// Contexts and inbox views hold pointers (to their network and message
 	// backing); clear any tail beyond the current graph so a sweep over
 	// shrinking graphs does not pin finished networks in memory.

@@ -10,8 +10,17 @@
 //
 // # Simulator architecture
 //
-// The hot path is allocation-free in steady state. Four mechanisms make a
-// simulated round cost O(messages + n) machine work with zero heap growth:
+// The hot path is allocation-free in steady state. Five mechanisms make a
+// simulated round cost O(stepped nodes + messages) machine work with zero
+// heap growth:
+//
+//   - Event-driven stepping. A round calls Round only on the nodes of its
+//     step list: those that returned not-done last round and those that
+//     received mail. deliver rebuilds the list in ascending vertex order,
+//     without a sort: after a sparse round from a wake bitset scanned word
+//     by word, after a dense one (a quarter of the nodes or more stepped)
+//     by one branch-free pass over the nodes. The network has quiesced
+//     when the list is empty.
 //
 //   - Port indexing. A node's incident edges are its ports 0..deg-1, in
 //     adjacency order (only the active ones, for a network restricted with
@@ -35,7 +44,8 @@
 //     in the sender's out-list. deliver copies slots into per-node inbox
 //     views — fixed-capacity sub-slices of a second flat per-port arena,
 //     partitioned by receiver degree — in sender-ID order, preserving the
-//     exact inbox ordering of a sequential simulator.
+//     exact inbox ordering of a sequential simulator. Only stepped nodes
+//     send, so walking the ascending step list visits every sender.
 //
 //   - Buffer reuse. Every buffer above is sized by n and the port count and
 //     carved out of a handful of flat allocations. A NetworkArena recycles
@@ -47,7 +57,7 @@
 //     many networks over one graph pays O(n + m) for the first and O(n) for
 //     each later one.
 //
-// Executors (see executor.go) decide how the n per-node Round calls run:
+// Executors (see executor.go) decide how a round's per-node Round calls run:
 // sequentially (SequentialExecutor) or on a persistent work-stealing worker
 // pool (ParallelExecutor). Both produce byte-identical results and Metrics
 // because programs touch only per-node state and delivery order is fixed by
@@ -190,10 +200,17 @@ func (c *Context) Broadcast(p Payload) {
 // creates one Program instance per vertex via a Factory.
 //
 // Init runs before round 1 and may send messages (they arrive in round 1).
-// Round is called once per round with the messages received; it returns true
-// once the node is locally done. A done node still receives messages and has
-// Round called (it may un-done itself by returning false), matching the
-// standard "termination by quiescence" convention.
+// Every node is stepped in round 1. After that, Round is called in a round
+// if the node returned false (not done) from its previous Round, or if mail
+// arrived for it; it gets the messages received and returns true once the
+// node is locally done. A node that returned true is not stepped again until
+// mail wakes it, and may then un-done itself by returning false. The network
+// quiesces when every node is done and no messages are in flight, matching
+// the standard "termination by quiescence" convention.
+//
+// A Program must therefore do nothing in a Round with an empty inbox after
+// it returned true: such calls no longer happen. A node that only waits for
+// mail should return true rather than be stepped in every round.
 type Program interface {
 	Init(ctx *Context)
 	Round(ctx *Context, inbox []Message) bool

@@ -6,43 +6,45 @@ import (
 	"sync/atomic"
 )
 
-// Executor abstracts how the per-node round functions run. Implementations
-// must invoke fn(v) exactly once for every v in 0..n-1 and return only after
-// all calls complete; fn touches only per-node state, so any schedule is
-// correct and all executors produce identical simulation results.
+// Executor abstracts how the per-node round functions run. A round's n is
+// the length of its step list, and fn(i) steps the list's i-th node.
+// Implementations must invoke fn(i) exactly once for every i in 0..n-1 and
+// return only after all calls complete; fn touches only per-node state, so
+// any schedule is correct and all executors produce identical simulation
+// results.
 type Executor interface {
-	// RunRound invokes fn(v) for every v in 0..n-1, returning after all
+	// RunRound invokes fn(i) for every i in 0..n-1, returning after all
 	// complete. Implementations must not let fn calls race on shared state;
 	// fn itself touches only per-node state.
-	RunRound(n int, fn func(v int))
+	RunRound(n int, fn func(i int))
 }
 
-// SequentialExecutor runs nodes one at a time in vertex order.
+// SequentialExecutor runs the step list one node at a time, in vertex order.
 type SequentialExecutor struct{}
 
 // RunRound implements Executor.
-func (SequentialExecutor) RunRound(n int, fn func(v int)) {
-	for v := 0; v < n; v++ {
-		fn(v)
+func (SequentialExecutor) RunRound(n int, fn func(i int)) {
+	for i := 0; i < n; i++ {
+		fn(i)
 	}
 }
 
 // ParallelExecutor runs each round on a persistent worker pool shared by the
-// whole process: GOMAXPROCS workers started once, handed chunked vertex
-// ranges through an atomic cursor, and joined by a reusable barrier. This
+// whole process: GOMAXPROCS workers started once, handed chunked ranges
+// of the step list through an atomic cursor, and joined by a reusable barrier. This
 // replaces the naive goroutine-per-node-per-round embedding, whose spawn and
 // scheduling cost dominated the simulation at large n.
 type ParallelExecutor struct{}
 
 // RunRound implements Executor.
-func (ParallelExecutor) RunRound(n int, fn func(v int)) { runPooled(n, fn) }
+func (ParallelExecutor) RunRound(n int, fn func(i int)) { runPooled(n, fn) }
 
 // poolTask is one round of work, executed cooperatively by the pool workers
 // and the submitting goroutine.
 type poolTask struct {
-	fn     func(v int)
+	fn     func(i int)
 	n      int
-	chunk  int64        // vertices per cursor claim
+	chunk  int64        // list entries per cursor claim
 	cursor atomic.Int64 // next chunk start
 	wg     sync.WaitGroup
 }
@@ -58,8 +60,8 @@ func (t *poolTask) run() {
 		if hi > int64(t.n) {
 			hi = int64(t.n)
 		}
-		for v := int(lo); v < int(hi); v++ {
-			t.fn(v)
+		for i := int(lo); i < int(hi); i++ {
+			t.fn(i)
 		}
 	}
 }
@@ -100,7 +102,7 @@ func startPool() {
 // runPooled executes fn(0..n-1) on the shared pool. The calling goroutine
 // participates as one of the executors, so a round never waits on a worker
 // that is busy with another network's round.
-func runPooled(n int, fn func(v int)) {
+func runPooled(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/graph"
 )
@@ -27,7 +28,14 @@ type Network struct {
 	programs []Program
 	ctxs     []Context
 	done     []bool
-	inboxes  [][]Message // per-node views into inboxArena, reset each round
+	inboxes  [][]Message // per-node views into inboxArena, emptied when Round returns
+
+	// step is the step list: in ascending vertex order, the nodes the next
+	// round runs, those that returned not-done and those that received
+	// mail. wake is the bitset a sparse round builds it from; it is all
+	// zero between rounds.
+	step []int32
+	wake []uint64
 
 	// Flat buffers, carved per node by portStart. All are either freshly
 	// allocated or borrowed from a NetworkArena.
@@ -49,7 +57,7 @@ type Network struct {
 	// active, if non-nil, restricts the ports to the edges it marks.
 	active []bool
 
-	roundFn  func(v int) // per-round executor callback, built once
+	roundFn  func(i int) // per-round executor callback, built once
 	stamp    uint32      // current round stamp (strictly increasing)
 	metrics  Metrics
 	arena    *NetworkArena // non-nil if buffers are borrowed
@@ -110,13 +118,16 @@ func NewNetwork(g *graph.Graph, factory Factory, opts ...Option) *Network {
 	} else {
 		n.buildTopology()
 	}
-	n.roundFn = func(v int) {
+	n.roundFn = func(i int) {
+		v := n.step[i]
 		n.done[v] = n.programs[v].Round(&n.ctxs[v], n.inboxes[v])
+		n.inboxes[v] = n.inboxes[v][:0]
 	}
 	for v := 0; v < g.N(); v++ {
 		n.programs[v] = factory(v)
 	}
-	// Init phase: all nodes, sequentially (Init does setup only).
+	// Init phase: all nodes, sequentially (Init does setup only). Every node
+	// counts as stepped and not done, so round 1 steps them all.
 	for v := 0; v < g.N(); v++ {
 		n.programs[v].Init(&n.ctxs[v])
 	}
@@ -148,7 +159,9 @@ func (n *Network) attachBuffers(a *NetworkArena) (indexed bool) {
 		n.outBack, n.nextSame = a.outBack, a.nextSame
 		n.portStart, n.portAtU, n.portAtV = a.portStart, a.portAtU, a.portAtV
 		n.ctxs, n.done, n.inboxes = a.ctxs, a.done, a.inboxes
+		n.step, n.wake = a.step, a.wake
 		n.nbrPort = a.nbrPort
+		n.resetStep()
 		return indexed
 	}
 	n.stamp = 1
@@ -163,8 +176,23 @@ func (n *Network) attachBuffers(a *NetworkArena) (indexed bool) {
 	n.ctxs = make([]Context, nv)
 	n.done = make([]bool, nv)
 	n.inboxes = make([][]Message, nv)
+	n.step = make([]int32, nv)
+	n.wake = make([]uint64, wakeWords(nv))
 	n.nbrPort = make(map[int64]int32, p2)
+	n.resetStep()
 	return false
+}
+
+// wakeWords is the length of the wake bitset over nv nodes.
+func wakeWords(nv int) int { return (nv + 63) / 64 }
+
+// resetStep puts every node on the step list, as the Init phase steps them
+// all, and zeroes the wake bitset, which a recycled buffer may not be.
+func (n *Network) resetStep() {
+	for v := range n.step {
+		n.step[v] = int32(v)
+	}
+	clear(n.wake)
 }
 
 // buildTopology fills the port index and per-node context views from the
@@ -252,24 +280,59 @@ func (n *Network) rebindTopology() {
 
 // deliver moves every slot written this round into its destination inbox, in
 // sender-ID then send order (the order a sequential scan of per-node out
-// queues would produce), and advances the round stamp, which clears all
-// per-port send state in O(1).
+// queues would produce), rebuilds the step list for the next round, and
+// advances the round stamp, which clears all per-port send state in O(1).
+//
+// Only the nodes just stepped can have sent mail, and their inboxes were
+// emptied when they were stepped, so deliver walks only their contexts and
+// the receivers' inboxes. The next list holds the stepped nodes that
+// returned not-done and every receiver. A sparse round marks them in the
+// wake bitset and reads it back word by word: O(stepped nodes + messages),
+// plus n/64 words. A dense round, one that stepped at least a quarter of
+// the nodes, skips the marking and keeps every node v with !done[v] or
+// mail, in one branch-free pass over all nodes: that is exact because a
+// node off the list returned done when last stepped and has had no mail.
 //
 //kecss:alloc-free
 func (n *Network) deliver() {
-	for v := range n.inboxes {
-		n.inboxes[v] = n.inboxes[v][:0]
-	}
 	var delivered int64
-	for v := range n.ctxs {
-		ctx := &n.ctxs[v]
-		for _, s := range ctx.outSlots {
-			m := &n.slots[s]
-			n.inboxes[m.To] = append(n.inboxes[m.To], *m)
+	step := n.step[:0]
+	if 4*len(n.step) >= len(n.ctxs) {
+		for _, v := range n.step {
+			delivered += n.deliverFrom(&n.ctxs[v])
 		}
-		delivered += int64(len(ctx.outSlots))
-		ctx.outSlots = ctx.outSlots[:0]
+		step = step[:len(n.ctxs)]
+		k := 0
+		for v, inbox := range n.inboxes {
+			step[k] = int32(v)
+			k += b2i(!n.done[v]) | b2i(len(inbox) > 0)
+		}
+		step = step[:k]
+	} else {
+		wake := n.wake
+		for _, v := range n.step {
+			if !n.done[v] {
+				wake[v>>6] |= 1 << (v & 63)
+			}
+			ctx := &n.ctxs[v]
+			for _, s := range ctx.outSlots {
+				to := n.slots[s].To
+				wake[to>>6] |= 1 << (to & 63)
+			}
+			delivered += n.deliverFrom(ctx)
+		}
+		for w, word := range wake {
+			if word == 0 {
+				continue
+			}
+			wake[w] = 0
+			base := int32(w << 6)
+			for ; word != 0; word &= word - 1 {
+				step = append(step, base+int32(bits.TrailingZeros64(word)))
+			}
+		}
 	}
+	n.step = step
 	n.metrics.Messages += delivered
 	n.metrics.Bits += delivered * int64(Payload{}.Bits())
 	n.stamp++
@@ -282,8 +345,31 @@ func (n *Network) deliver() {
 	}
 }
 
-// Step executes one synchronous round. It returns true if the network has
-// quiesced: every node reported done and no messages are in flight.
+// deliverFrom appends the messages ctx's node sent this round to their
+// receivers' inboxes and empties its out-list, returning the count.
+//
+//kecss:alloc-free
+func (n *Network) deliverFrom(ctx *Context) int64 {
+	for _, s := range ctx.outSlots {
+		m := &n.slots[s]
+		n.inboxes[m.To] = append(n.inboxes[m.To], *m)
+	}
+	sent := int64(len(ctx.outSlots))
+	ctx.outSlots = ctx.outSlots[:0]
+	return sent
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits no branch for it.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Step executes one synchronous round over the step list. It returns true
+// if the network has quiesced: every node reported done and no messages are
+// in flight, that is, the next round would step no node.
 //
 //kecss:alloc-free
 func (n *Network) Step() bool {
@@ -291,23 +377,9 @@ func (n *Network) Step() bool {
 		panic("congest: Step on a network whose arena buffers were released (Run already finished)")
 	}
 	n.metrics.Rounds++
-	n.exec.RunRound(n.g.N(), n.roundFn)
+	n.exec.RunRound(len(n.step), n.roundFn)
 	n.deliver()
-	allDone := true
-	for v := range n.done {
-		if !n.done[v] {
-			allDone = false
-			break
-		}
-	}
-	inFlight := false
-	for v := range n.inboxes {
-		if len(n.inboxes[v]) > 0 {
-			inFlight = true
-			break
-		}
-	}
-	return allDone && !inFlight
+	return len(n.step) == 0
 }
 
 // Run executes rounds until quiescence or maxRounds, returning the metrics.

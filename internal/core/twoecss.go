@@ -50,8 +50,8 @@ type TwoECSSResult struct {
 	Rounds int64
 	// TAP is the augmentation sub-result (iterations, round breakdown).
 	TAP *tap.Result
-	// Tree is the rooted MST the augmentation ran on.
-	Tree *tree.Rooted
+	// TreeHeight is the height of the rooted MST the augmentation ran on.
+	TreeHeight int
 }
 
 // Solve2ECSS computes a 2-edge-connected spanning subgraph of g: an MST
@@ -109,14 +109,15 @@ func Solve2ECSS(g *graph.Graph, opts TwoECSSOptions) (*TwoECSSResult, error) {
 		Phase: "tap", Start: t0,
 		Rounds: tres.Rounds, Iterations: tres.Iterations, Items: len(tres.Augmentation),
 	})
-	edges := append(append([]int(nil), mstIDs...), tres.Augmentation...)
+	edges := make([]int, 0, len(mstIDs)+len(tres.Augmentation))
+	edges = append(append(edges, mstIDs...), tres.Augmentation...)
 	sort.Ints(edges)
 	return &TwoECSSResult{
-		Edges:     edges,
-		Weight:    g.WeightOf(edges),
-		MSTWeight: mstWeight,
-		Rounds:    mstRounds + tres.Rounds,
-		TAP:       tres,
-		Tree:      tr,
+		Edges:      edges,
+		Weight:     g.WeightOf(edges),
+		MSTWeight:  mstWeight,
+		Rounds:     mstRounds + tres.Rounds,
+		TAP:        tres,
+		TreeHeight: tr.Height(),
 	}, nil
 }

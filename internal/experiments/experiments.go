@@ -106,7 +106,7 @@ func E1(s Scale) (*Table, error) {
 		}
 		n := g.N()
 		d := g.DiameterEstimate()
-		h := res.Tree.Height()
+		h := res.TreeHeight
 		logn := log2(float64(n))
 		ref := (float64(d) + math.Sqrt(float64(n))) * logn * logn
 		base := rounds.TAPBaselineCH(n, h)

@@ -361,6 +361,10 @@ func (p *fragExchangeProgram) Round(_ *congest.Context, inbox []congest.Message)
 // itself (the global driver reads the root's result and the following
 // cluster flood informs everyone), but we keep the message count honest by
 // having the root's decision flow through the subsequent restricted flood.
+//
+// Round always reports done: a node waiting for children has nothing to do
+// until their mail wakes it. Round counts do not depend on this, since
+// while a node waits some report is in flight in its subtree.
 type mwoeProgram struct {
 	parent     int
 	parentEdge int
@@ -387,7 +391,7 @@ func (p *mwoeProgram) Round(ctx *congest.Context, inbox []congest.Message) bool 
 			ctx.Send(p.parentEdge, congest.Payload{Kind: 12, A: p.best.w, B: p.best.id})
 		}
 	}
-	return p.sentUp
+	return true
 }
 
 // minFloodRestricted floods the minimum fragment ID over the subgraph of
@@ -465,6 +469,10 @@ func (st *boruvkaState) bfsRestricted(acc *congest.Metrics) error {
 	return nil
 }
 
+// restrictedBFSProgram joins the cluster BFS tree through the lowest-ID
+// cluster edge its first wave of mail arrives on, then sends the wave on.
+// Round always reports done: a node not yet joined has nothing to do until
+// the wave wakes it, and while it waits the wave is in flight.
 type restrictedBFSProgram struct {
 	allowed    []bool // per edge ID
 	isRoot     bool
@@ -512,5 +520,5 @@ func (p *restrictedBFSProgram) Round(ctx *congest.Context, inbox []congest.Messa
 	if p.joined && !p.sent {
 		p.send(ctx)
 	}
-	return p.joined
+	return true
 }

@@ -168,17 +168,21 @@ func testExpiryTwoClaimants(t *testing.T, mk Factory) {
 }
 
 func testExtend(t *testing.T, mk Factory) {
-	b := mk(t, queue.Config{LeaseTTL: 50 * time.Millisecond, BackoffBase: time.Millisecond, BackoffMax: 3 * time.Millisecond})
+	// The heartbeat comes every ttl/4, so the lease survives a scheduler
+	// stall of up to 3/4 of the TTL between a beat and the next call; the
+	// loop spans three TTLs.
+	const ttl = 200 * time.Millisecond
+	b := mk(t, queue.Config{LeaseTTL: ttl, BackoffBase: time.Millisecond, BackoffMax: 3 * time.Millisecond})
 	defer b.Close()
 	b.Enqueue(&queue.Job{ID: "slow"})
 	l := claim(t, b)
 	// Heartbeat past several TTLs; the lease must never lapse.
-	deadline := time.Now().Add(180 * time.Millisecond)
+	deadline := time.Now().Add(3 * ttl)
 	for time.Now().Before(deadline) {
 		if !l.Extend() {
 			t.Fatal("Extend lost a heartbeated lease")
 		}
-		time.Sleep(15 * time.Millisecond)
+		time.Sleep(ttl / 4)
 	}
 	if !l.Ack() {
 		t.Fatal("Ack after heartbeats returned false")
