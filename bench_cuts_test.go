@@ -6,10 +6,12 @@ package kecss
 // BENCH_cuts.json is generated from their output, and the job fails if
 // allocs/op or ns/op exceeds a pinned ceiling (see .github/workflows/ci.yml).
 //
-// Harary(k, n) is used as the instance family because its edge connectivity
-// is exactly k by construction, which is the precondition of
-// EnumerateMinCuts(g, k). Size 3 runs the cycle-space label enumerator;
-// sizes 4–5 and every cap ≥ 4 run the unit-flow engine.
+// The size= rows use Harary(k, n), whose edge connectivity is exactly k by
+// construction, the precondition of EnumerateMinCuts(g, k); sizes 3–5 and
+// every cap ≥ 4 run the unit-flow engine. The level= rows enumerate the
+// size-(level−1) cuts of the subgraph H that SolveKECSS's Aug level
+// augments on a k=4 input: sizes 1 and 2 read their sides off one spanning
+// tree (bridges and graph.CutPairs), size 3 runs the engine.
 
 import (
 	"fmt"
@@ -18,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/mst"
 )
 
 func BenchmarkMicro_EnumerateMinCuts(b *testing.B) {
@@ -43,6 +46,40 @@ func BenchmarkMicro_EnumerateMinCuts(b *testing.B) {
 				}
 			}
 		})
+	}
+	benchLevelCuts(b)
+}
+
+// benchLevelCuts runs the level= rows: the cuts Aug_level must cover on a
+// kecss-cuts-shaped input at n=4000. H is the MST of RandomKConnected(n, 4,
+// 2n) with weights up to 100 (rng seed 7) plus the edges Aug_2 ..
+// Aug_(level−1) added, built outside the timer.
+func benchLevelCuts(b *testing.B) {
+	const n = 4000
+	rng := rand.New(rand.NewSource(7))
+	g := graph.RandomKConnected(n, 4, 2*n, rng, graph.RandomWeights(rng, 100))
+	h, _ := mst.Kruskal(g)
+	for level := 2; level <= 4; level++ {
+		hs, _ := g.SubgraphOf(h)
+		b.Run(fmt.Sprintf("level=%d/n=%d", level, n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cuts, err := core.EnumerateMinCuts(hs, level-1, rand.New(rand.NewSource(int64(i))))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(cuts) == 0 {
+					b.Fatalf("no size-%d cuts at level %d", level-1, level)
+				}
+			}
+		})
+		if level < 4 {
+			ar, err := core.Aug(g, h, level, core.AugOptions{Rng: rng})
+			if err != nil {
+				b.Fatal(err)
+			}
+			h = append(h, ar.Added...)
+		}
 	}
 }
 
@@ -81,10 +118,10 @@ func BenchmarkMicro_EdgeConnectivityUpTo(b *testing.B) {
 
 // BenchmarkMicro_SolveKECSSEndToEnd is the end-to-end solve bench for the
 // cut-enumeration-dominated workloads: k=3 (3-ECSS through the Aug
-// framework, size-2 cut enumeration), k=4 (the first k whose Aug level
-// enumerates size-3 cuts, from cycle-space labels) and k=5 (the first k
-// whose Aug level enumerates size-4 cuts, on the unit-flow engine; CI
-// gates its n=512 case on wall-clock time).
+// framework, size-2 cut enumeration from graph.CutPairs and one spanning
+// tree), k=4 (the first k whose Aug level enumerates size-3 cuts) and k=5
+// (the first k whose Aug level enumerates size-4 cuts; CI gates its n=512
+// case on wall-clock time). Sizes 3 and up run the unit-flow engine.
 func BenchmarkMicro_SolveKECSSEndToEnd(b *testing.B) {
 	cases := []struct{ k, n int }{
 		{3, 96},

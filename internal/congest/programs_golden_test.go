@@ -24,16 +24,19 @@ import (
 // round, so the table holds the event-driven simulator, which skips a done
 // node until mail arrives, to the same observable behaviour.
 //
-// Keys are family/n/wrapper/executor. The primitives without an executor
-// option run once, on the default executor.
+// Keys are family/n/wrapper/executor. BroadcastValue, the one wrapper
+// without an executor option, runs once, on the default executor.
 var programsGolden = map[string]string{
+	"grid/n=512/aggregate-min/par":   "rounds=71 messages=511 bits=134904 out=003049a9597241e9",
 	"grid/n=512/aggregate-min/seq":   "rounds=71 messages=511 bits=134904 out=003049a9597241e9",
+	"grid/n=512/aggregate-sum/par":   "rounds=71 messages=511 bits=134904 out=77bca3d56e5ba394",
 	"grid/n=512/aggregate-sum/seq":   "rounds=71 messages=511 bits=134904 out=77bca3d56e5ba394",
 	"grid/n=512/bfs/par":             "rounds=71 messages=1904 bits=502656 out=abc24a4520518743",
 	"grid/n=512/bfs/seq":             "rounds=71 messages=1904 bits=502656 out=abc24a4520518743",
 	"grid/n=512/boruvka/par":         "rounds=581 messages=26928 bits=7108992 out=e07ce18a79386a70",
 	"grid/n=512/boruvka/seq":         "rounds=581 messages=26928 bits=7108992 out=e07ce18a79386a70",
 	"grid/n=512/broadcast/seq":       "rounds=70 messages=511 bits=134904 out=f160139bb73ab325",
+	"grid/n=512/broadcastmany/par":   "rounds=106 messages=18907 bits=4991448 out=340a5fc2e9f3a325",
 	"grid/n=512/broadcastmany/seq":   "rounds=106 messages=18907 bits=4991448 out=340a5fc2e9f3a325",
 	"grid/n=512/incremental/par":     "rounds=84 messages=0 bits=0 out=412b3c4552c3c44d",
 	"grid/n=512/incremental/seq":     "rounds=84 messages=0 bits=0 out=412b3c4552c3c44d",
@@ -43,14 +46,18 @@ var programsGolden = map[string]string{
 	"grid/n=512/leader/seq":          "rounds=72 messages=68544 bits=18095616 out=a8c7f832281a39c5",
 	"grid/n=512/tapdist/par":         "rounds=299 messages=32535 bits=8589240 out=2b2984af0f40065a",
 	"grid/n=512/tapdist/seq":         "rounds=299 messages=32535 bits=8589240 out=2b2984af0f40065a",
+	"grid/n=512/upcast/par":          "rounds=67 messages=2447 bits=646008 out=b428ac0db1b91361",
 	"grid/n=512/upcast/seq":          "rounds=67 messages=2447 bits=646008 out=b428ac0db1b91361",
+	"grid/n=64/aggregate-min/par":    "rounds=15 messages=63 bits=16632 out=003049a9597241e9",
 	"grid/n=64/aggregate-min/seq":    "rounds=15 messages=63 bits=16632 out=003049a9597241e9",
+	"grid/n=64/aggregate-sum/par":    "rounds=15 messages=63 bits=16632 out=1fc0b02c4c679e0d",
 	"grid/n=64/aggregate-sum/seq":    "rounds=15 messages=63 bits=16632 out=1fc0b02c4c679e0d",
 	"grid/n=64/bfs/par":              "rounds=15 messages=224 bits=59136 out=ead31283f05aa8ab",
 	"grid/n=64/bfs/seq":              "rounds=15 messages=224 bits=59136 out=ead31283f05aa8ab",
 	"grid/n=64/boruvka/par":          "rounds=100 messages=1961 bits=517704 out=ac66e64916efecea",
 	"grid/n=64/boruvka/seq":          "rounds=100 messages=1961 bits=517704 out=ac66e64916efecea",
 	"grid/n=64/broadcast/seq":        "rounds=14 messages=63 bits=16632 out=2108c5ae368d3525",
+	"grid/n=64/broadcastmany/par":    "rounds=32 messages=1197 bits=316008 out=4f9d6e0db04ed325",
 	"grid/n=64/broadcastmany/seq":    "rounds=32 messages=1197 bits=316008 out=4f9d6e0db04ed325",
 	"grid/n=64/incremental/par":      "rounds=18 messages=0 bits=0 out=bbe2fed5c464cc1d",
 	"grid/n=64/incremental/seq":      "rounds=18 messages=0 bits=0 out=bbe2fed5c464cc1d",
@@ -60,14 +67,18 @@ var programsGolden = map[string]string{
 	"grid/n=64/leader/seq":           "rounds=16 messages=1792 bits=473088 out=a8c7f832281a39c5",
 	"grid/n=64/tapdist/par":          "rounds=81 messages=1607 bits=424248 out=c57444470b7ce4dd",
 	"grid/n=64/tapdist/seq":          "rounds=81 messages=1607 bits=424248 out=c57444470b7ce4dd",
+	"grid/n=64/upcast/par":           "rounds=21 messages=161 bits=42504 out=01f53321afe42099",
 	"grid/n=64/upcast/seq":           "rounds=21 messages=161 bits=42504 out=01f53321afe42099",
+	"harary/n=512/aggregate-min/par": "rounds=129 messages=511 bits=134904 out=003049a9597241e9",
 	"harary/n=512/aggregate-min/seq": "rounds=129 messages=511 bits=134904 out=003049a9597241e9",
+	"harary/n=512/aggregate-sum/par": "rounds=129 messages=511 bits=134904 out=77bca3d56e5ba394",
 	"harary/n=512/aggregate-sum/seq": "rounds=129 messages=511 bits=134904 out=77bca3d56e5ba394",
 	"harary/n=512/bfs/par":           "rounds=129 messages=1536 bits=405504 out=91456c70d5f948ee",
 	"harary/n=512/bfs/seq":           "rounds=129 messages=1536 bits=405504 out=91456c70d5f948ee",
 	"harary/n=512/boruvka/par":       "rounds=1284 messages=28887 bits=7626168 out=d1bbe7dc41a39218",
 	"harary/n=512/boruvka/seq":       "rounds=1284 messages=28887 bits=7626168 out=d1bbe7dc41a39218",
 	"harary/n=512/broadcast/seq":     "rounds=128 messages=511 bits=134904 out=f160139bb73ab325",
+	"harary/n=512/broadcastmany/par": "rounds=164 messages=18907 bits=4991448 out=340a5fc2e9f3a325",
 	"harary/n=512/broadcastmany/seq": "rounds=164 messages=18907 bits=4991448 out=340a5fc2e9f3a325",
 	"harary/n=512/incremental/par":   "rounds=172 messages=0 bits=0 out=a2cdf5b35ed6cbe0",
 	"harary/n=512/incremental/seq":   "rounds=172 messages=0 bits=0 out=a2cdf5b35ed6cbe0",
@@ -77,14 +88,18 @@ var programsGolden = map[string]string{
 	"harary/n=512/leader/seq":        "rounds=130 messages=100605 bits=26559720 out=a8c7f832281a39c5",
 	"harary/n=512/tapdist/par":       "rounds=495 messages=40540 bits=10702560 out=cd20ffa40852dff1",
 	"harary/n=512/tapdist/seq":       "rounds=495 messages=40540 bits=10702560 out=cd20ffa40852dff1",
+	"harary/n=512/upcast/par":        "rounds=129 messages=9222 bits=2434608 out=b428ac0db1b91361",
 	"harary/n=512/upcast/seq":        "rounds=129 messages=9222 bits=2434608 out=b428ac0db1b91361",
+	"harary/n=64/aggregate-min/par":  "rounds=17 messages=63 bits=16632 out=003049a9597241e9",
 	"harary/n=64/aggregate-min/seq":  "rounds=17 messages=63 bits=16632 out=003049a9597241e9",
+	"harary/n=64/aggregate-sum/par":  "rounds=17 messages=63 bits=16632 out=1fc0b02c4c679e0d",
 	"harary/n=64/aggregate-sum/seq":  "rounds=17 messages=63 bits=16632 out=1fc0b02c4c679e0d",
 	"harary/n=64/bfs/par":            "rounds=17 messages=192 bits=50688 out=e1041f7e38ee15a4",
 	"harary/n=64/bfs/seq":            "rounds=17 messages=192 bits=50688 out=e1041f7e38ee15a4",
 	"harary/n=64/boruvka/par":        "rounds=169 messages=2315 bits=611160 out=9ec07046293425f9",
 	"harary/n=64/boruvka/seq":        "rounds=169 messages=2315 bits=611160 out=9ec07046293425f9",
 	"harary/n=64/broadcast/seq":      "rounds=16 messages=63 bits=16632 out=2108c5ae368d3525",
+	"harary/n=64/broadcastmany/par":  "rounds=34 messages=1197 bits=316008 out=4f9d6e0db04ed325",
 	"harary/n=64/broadcastmany/seq":  "rounds=34 messages=1197 bits=316008 out=4f9d6e0db04ed325",
 	"harary/n=64/incremental/par":    "rounds=22 messages=0 bits=0 out=a03ec81be7f01af6",
 	"harary/n=64/incremental/seq":    "rounds=22 messages=0 bits=0 out=a03ec81be7f01af6",
@@ -94,14 +109,18 @@ var programsGolden = map[string]string{
 	"harary/n=64/leader/seq":         "rounds=18 messages=1821 bits=480744 out=a8c7f832281a39c5",
 	"harary/n=64/tapdist/par":        "rounds=86 messages=1776 bits=468864 out=2d16f04155d6c176",
 	"harary/n=64/tapdist/seq":        "rounds=86 messages=1776 bits=468864 out=2d16f04155d6c176",
+	"harary/n=64/upcast/par":         "rounds=17 messages=199 bits=52536 out=01f53321afe42099",
 	"harary/n=64/upcast/seq":         "rounds=17 messages=199 bits=52536 out=01f53321afe42099",
+	"random/n=512/aggregate-min/par": "rounds=7 messages=511 bits=134904 out=003049a9597241e9",
 	"random/n=512/aggregate-min/seq": "rounds=7 messages=511 bits=134904 out=003049a9597241e9",
+	"random/n=512/aggregate-sum/par": "rounds=7 messages=511 bits=134904 out=77bca3d56e5ba394",
 	"random/n=512/aggregate-sum/seq": "rounds=7 messages=511 bits=134904 out=77bca3d56e5ba394",
 	"random/n=512/bfs/par":           "rounds=7 messages=3072 bits=811008 out=c1e4dee309ac3692",
 	"random/n=512/bfs/seq":           "rounds=7 messages=3072 bits=811008 out=c1e4dee309ac3692",
 	"random/n=512/boruvka/par":       "rounds=284 messages=31427 bits=8296728 out=369854834cb68aba",
 	"random/n=512/boruvka/seq":       "rounds=284 messages=31427 bits=8296728 out=369854834cb68aba",
 	"random/n=512/broadcast/seq":     "rounds=6 messages=511 bits=134904 out=f160139bb73ab325",
+	"random/n=512/broadcastmany/par": "rounds=42 messages=18907 bits=4991448 out=340a5fc2e9f3a325",
 	"random/n=512/broadcastmany/seq": "rounds=42 messages=18907 bits=4991448 out=340a5fc2e9f3a325",
 	"random/n=512/incremental/par":   "rounds=9 messages=0 bits=0 out=ea053510f9051389",
 	"random/n=512/incremental/seq":   "rounds=9 messages=0 bits=0 out=ea053510f9051389",
@@ -111,14 +130,18 @@ var programsGolden = map[string]string{
 	"random/n=512/leader/seq":        "rounds=8 messages=14824 bits=3913536 out=a8c7f832281a39c5",
 	"random/n=512/tapdist/par":       "rounds=106 messages=28891 bits=7627224 out=28133ea54cf45b14",
 	"random/n=512/tapdist/seq":       "rounds=106 messages=28891 bits=7627224 out=28133ea54cf45b14",
+	"random/n=512/upcast/par":        "rounds=34 messages=646 bits=170544 out=b428ac0db1b91361",
 	"random/n=512/upcast/seq":        "rounds=34 messages=646 bits=170544 out=b428ac0db1b91361",
+	"random/n=64/aggregate-min/par":  "rounds=5 messages=63 bits=16632 out=003049a9597241e9",
 	"random/n=64/aggregate-min/seq":  "rounds=5 messages=63 bits=16632 out=003049a9597241e9",
+	"random/n=64/aggregate-sum/par":  "rounds=5 messages=63 bits=16632 out=1fc0b02c4c679e0d",
 	"random/n=64/aggregate-sum/seq":  "rounds=5 messages=63 bits=16632 out=1fc0b02c4c679e0d",
 	"random/n=64/bfs/par":            "rounds=5 messages=384 bits=101376 out=6b72740642c3d619",
 	"random/n=64/bfs/seq":            "rounds=5 messages=384 bits=101376 out=6b72740642c3d619",
 	"random/n=64/boruvka/par":        "rounds=104 messages=2415 bits=637560 out=bf2fe4bf9302be5d",
 	"random/n=64/boruvka/seq":        "rounds=104 messages=2415 bits=637560 out=bf2fe4bf9302be5d",
 	"random/n=64/broadcast/seq":      "rounds=4 messages=63 bits=16632 out=2108c5ae368d3525",
+	"random/n=64/broadcastmany/par":  "rounds=22 messages=1197 bits=316008 out=4f9d6e0db04ed325",
 	"random/n=64/broadcastmany/seq":  "rounds=22 messages=1197 bits=316008 out=4f9d6e0db04ed325",
 	"random/n=64/incremental/par":    "rounds=6 messages=0 bits=0 out=b8177035c1f6121c",
 	"random/n=64/incremental/seq":    "rounds=6 messages=0 bits=0 out=b8177035c1f6121c",
@@ -128,6 +151,7 @@ var programsGolden = map[string]string{
 	"random/n=64/leader/seq":         "rounds=6 messages=1226 bits=323664 out=a8c7f832281a39c5",
 	"random/n=64/tapdist/par":        "rounds=45 messages=1675 bits=442200 out=2cca07318881e083",
 	"random/n=64/tapdist/seq":        "rounds=45 messages=1675 bits=442200 out=2cca07318881e083",
+	"random/n=64/upcast/par":         "rounds=6 messages=50 bits=13200 out=01f53321afe42099",
 	"random/n=64/upcast/seq":         "rounds=6 messages=50 bits=13200 out=01f53321afe42099",
 }
 
@@ -201,6 +225,15 @@ func goldenRuns(t *testing.T, g *graph.Graph) map[string]string {
 		}
 	}
 
+	values := make([]int64, n)
+	items := make([][]int64, n)
+	for v := range values {
+		values[v] = int64(v*7919%1009 - 500)
+		if v%5 == 0 {
+			items[v] = []int64{int64(v % 37), int64(v % 11)}
+		}
+	}
+
 	for _, ex := range []struct {
 		name string
 		exec congest.Executor
@@ -257,50 +290,42 @@ func goldenRuns(t *testing.T, g *graph.Graph) map[string]string {
 			}
 		}
 		out["tapdist/"+ex.name] = h.line(ce.Metrics)
+
+		h = outHash{}
+		sum, m, err := primitives.Aggregate(g, tr, values, primitives.Sum, opt)
+		must(err)
+		h.add(sum)
+		out["aggregate-sum/"+ex.name] = h.line(m)
+
+		h = outHash{}
+		lo, m, err := primitives.Aggregate(g, tr, values, primitives.Min, opt)
+		must(err)
+		h.add(lo)
+		out["aggregate-min/"+ex.name] = h.line(m)
+
+		h = outHash{}
+		up, m, err := primitives.Upcast(g, tr, items, opt)
+		must(err)
+		h.add(up...)
+		out["upcast/"+ex.name] = h.line(m)
+
+		h = outHash{}
+		many, m, err := primitives.BroadcastMany(g, tr, up, opt)
+		must(err)
+		for _, list := range many {
+			h.add(int64(len(list)))
+			h.add(list...)
+		}
+		out["broadcastmany/"+ex.name] = h.line(m)
 	}
 
 	tr, _, err := primitives.BuildBFSTree(g, 0)
 	must(err)
-	values := make([]int64, n)
-	items := make([][]int64, n)
-	for v := range values {
-		values[v] = int64(v*7919%1009 - 500)
-		if v%5 == 0 {
-			items[v] = []int64{int64(v % 37), int64(v % 11)}
-		}
-	}
 	var h outHash
-	sum, m, err := primitives.Aggregate(g, tr, values, primitives.Sum)
-	must(err)
-	h.add(sum)
-	out["aggregate-sum/seq"] = h.line(m)
-
-	h = outHash{}
-	lo, m, err := primitives.Aggregate(g, tr, values, primitives.Min)
-	must(err)
-	h.add(lo)
-	out["aggregate-min/seq"] = h.line(m)
-
-	h = outHash{}
 	got, m, err := primitives.BroadcastValue(g, tr, 424242)
 	must(err)
 	h.add(got...)
 	out["broadcast/seq"] = h.line(m)
-
-	h = outHash{}
-	up, m, err := primitives.Upcast(g, tr, items)
-	must(err)
-	h.add(up...)
-	out["upcast/seq"] = h.line(m)
-
-	h = outHash{}
-	many, m, err := primitives.BroadcastMany(g, tr, up)
-	must(err)
-	for _, list := range many {
-		h.add(int64(len(list)))
-		h.add(list...)
-	}
-	out["broadcastmany/seq"] = h.line(m)
 	return out
 }
 

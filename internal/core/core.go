@@ -7,30 +7,29 @@
 //
 // Every Aug_k level must cover every minimum cut of its current subgraph H
 // (Definition 2.1). EnumerateMinCuts produces them as canonical vertex
-// bipartitions, exactly at every size: bridges, cut pairs, for size 3 the
-// cycle-space labels of §5 (cutlabels.go) — every 3-edge cut XORs to 0
-// under random labels, so one table lookup per (tree edge, edge) pair
-// finds every candidate triple, and a component scan confirms each one —
-// and for size >= 4 the unit-flow engine of graph.EachMinCut. For
-// t = 1..n−1 the engine pushes unit paths from the merged source
-// {0..t−1} to t; each minimum cut is a minimum {0..t−1}–t cut for exactly
-// one t, the smallest vertex of its far side, and the minimum cuts at that
-// t are the closed sets of the residual graph (Picard–Queyranne), which it
-// lists by branching on one free vertex at a time. The same pass computes
-// λ, so the enumeration checks its own precondition. There is no Monte
-// Carlo step and no "rerun with another seed": every level, and with it
-// every solve, is exact for every seed.
+// bipartitions, exactly at every size. Sizes 1 and 2 take the bridges and
+// graph.CutPairs and read each side off one DFS spanning tree rooted at
+// vertex 0: the side without vertex 0 is the XOR of the subtrees below the
+// cut's tree edges, at most two preorder intervals. Sizes 3 and up run the
+// unit-flow engine of graph.EachMinCut. For t = 1..n−1 the engine pushes
+// unit paths from the merged source {0..t−1} to t; each minimum cut is a
+// minimum {0..t−1}–t cut for exactly one t, the smallest vertex of its far
+// side, and the minimum cuts at that t are the closed sets of the residual
+// graph (Picard–Queyranne), which it lists by branching on one free vertex
+// at a time. The same pass computes λ, so the enumeration checks its own
+// precondition. There is no Monte Carlo step and no "rerun with another
+// seed": every level, and with it every solve, is exact for every seed.
 //
 // # Seeds
 //
-// Size >= 3 enumeration draws one Int63 from the caller's RNG once λ is
-// known to allow cuts of that size. Size 3 seeds its labels with it; the
-// labels decide only the running time, never the output. Size >= 4
-// discards it: the Karger–Stein enumerator the flow engine replaced drew
-// its trial seed there, so Aug's sampling consumes the same stream as
-// before and every k >= 5 result is the one that enumerator gave whenever
-// it found every cut. The found cuts are sorted canonically, so the output
-// depends only on the graph and the cut size.
+// Size >= 3 enumeration draws one Int63 from the caller's RNG and discards
+// it, where the enumerators the flow engine replaced drew their seeds:
+// size 3 whenever λ >= 3 (the cycle-space labels), size >= 4 only when
+// λ equals the size (the Karger–Stein trials). So Aug's sampling consumes
+// the same stream as before, and every result is the one those
+// enumerators gave whenever they found every cut. The found cuts are
+// sorted canonically, so the output depends only on the graph and the cut
+// size. Sizes 1 and 2 draw nothing.
 //
 // # Scratch ownership
 //
@@ -39,14 +38,14 @@
 // internal/graph and is owned by one call at a time. Materialised cut
 // bitsets are carved from blocks of a cutStore that detaches them on
 // reset, so cuts returned to callers keep sole ownership of their memory.
-// A warm enumeration allocates only the cuts it returns.
+// A warm enumeration allocates only the cuts it returns, plus the
+// spanning tree at sizes 1–2.
 //
-// The size-2 enumerator dedups bipartitions through an intern table that
-// hashes the bitset with 64-bit FNV-1a and compares the words on hash
-// collision; sizes 3 and up need no dedup, since distinct confirmed triples
-// and distinct closed sets are distinct bipartitions. Aug's coverage
-// bookkeeping then works on dense cut indices (covered bitmaps, candidate
-// cut-index lists) — no string keys on any hot path.
+// No size needs a dedup: a minimum cut's edge set is determined by its
+// side, so distinct bridges, distinct cut pairs and distinct closed sets
+// are distinct bipartitions. Aug's coverage bookkeeping then works on
+// dense cut indices (covered bitmaps, candidate cut-index lists) — no
+// string keys on any hot path.
 //
 // # Output-sensitive candidate scans
 //

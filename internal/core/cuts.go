@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -41,9 +42,9 @@ func newCut(n int, inSide func(v int) bool) Cut {
 // occupies.
 func cutWords(n int) int { return (n + 63) / 64 }
 
-// Key returns a string identifying the bipartition. It survives as the
-// oracle-friendly identity used by tests; the hot paths intern cuts through
-// cutInterner's 64-bit hash table instead and never materialise strings.
+// Key returns a string identifying the bipartition, the oracle-friendly
+// identity used by tests; the hot paths compare bitsets and never
+// materialise strings.
 func (c Cut) Key() string {
 	b := make([]byte, 0, len(c.side)*8)
 	for _, w := range c.side {
@@ -61,31 +62,6 @@ func (c Cut) Crosses(u, v int) bool {
 
 func (c Cut) contains(v int) bool {
 	return c.side[v/64]&(1<<uint(v%64)) != 0
-}
-
-// hashWords is word-at-a-time FNV-1a over a side bitset.
-func hashWords(ws []uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, w := range ws {
-		h = (h ^ w) * prime64
-	}
-	return h
-}
-
-func wordsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // cutLess orders canonical bipartitions by their bitset words (word 0
@@ -107,7 +83,7 @@ func sortCuts(cuts []Cut) {
 // cutStore carves materialised cut bitsets out of large blocks (few
 // allocations, good locality). Ownership rule: reset detaches the blocks,
 // so cuts handed out before a reset keep sole ownership of their memory
-// even after the store's owner (an arena or interner) is recycled.
+// even after the store's owner is recycled.
 type cutStore struct {
 	words int
 	block []uint64
@@ -137,59 +113,21 @@ func (cs *cutStore) alloc(side []uint64) Cut {
 	return Cut{side: stored}
 }
 
-// cutInterner assigns dense indices to canonical bipartitions: a 64-bit
-// FNV-1a hash keys the table and the full bitset is compared on collision,
-// so no string keys are ever built. Interned bitsets live in a cutStore,
-// whose detach-on-reset rule keeps handed-out cuts safe across reuse.
-type cutInterner struct {
-	table map[uint64][]int32
-	cuts  []Cut
-	store cutStore
-}
-
-func (it *cutInterner) reset(n int) {
-	if it.table == nil {
-		it.table = make(map[uint64][]int32)
-	} else {
-		clear(it.table)
-	}
-	it.cuts = it.cuts[:0]
-	it.store.reset(n)
-}
-
-// lookup returns the index of the interned cut equal to side, or -1.
-func (it *cutInterner) lookup(h uint64, side []uint64) int32 {
-	for _, idx := range it.table[h] {
-		if wordsEqual(it.cuts[idx].side, side) {
-			return idx
-		}
-	}
-	return -1
-}
-
-// add interns the canonical side bitset, copying it into interner-owned
-// block storage when unseen. It returns the interned Cut and whether it was
-// new.
-func (it *cutInterner) add(side []uint64) (Cut, bool) {
-	h := hashWords(side)
-	if idx := it.lookup(h, side); idx >= 0 {
-		return it.cuts[idx], false
-	}
-	c := it.store.alloc(side)
-	it.table[h] = append(it.table[h], int32(len(it.cuts)))
-	it.cuts = append(it.cuts, c)
-	return c, true
-}
-
 // EnumerateMinCuts returns every cut of size exactly `size` of the connected
 // graph h, where size must equal h's edge connectivity (the cuts the Aug_k
-// step must cover), in sortCuts order for sizes 3 and up. Every size is
-// enumerated exactly: bridges (1), cut pairs (2), cycle-space labels (3,
-// see cutlabels.go) and the unit-flow engine (4 and up, see cutsByFlow).
-// rng is required from size 3 on, where one Int63 is drawn once λ(h) is
-// known to be at least size (exactly size, from 4 on): it seeds the size-3
-// labels and is discarded from 4 on, so the caller's stream advances the
-// same way at every size. An empty result for size >= 3 means λ(h) > size.
+// step must cover). Every size is enumerated exactly; sizes 1–2 cost one
+// near-linear pass plus about O(n/64 + the smaller side) per cut:
+//   - size 1: the bridges, in edge-ID order;
+//   - size 2: the cut pairs of graph.CutPairs, in (A, B) order;
+//   - size 3 and up: the unit-flow engine (see cutsByFlow), in sortCuts
+//     order.
+//
+// Sizes 1–2 read each side off one spanning tree (see treeSides). rng is
+// required from size 3 on, and the draws match the enumerators the engine
+// replaced, so the caller's stream advances the same way it always has:
+// size 3 draws one Int63 whenever λ(h) ≥ 3, larger sizes only when λ(h) =
+// size, and sizes 1–2 draw nothing (rng may be nil). An empty result means
+// λ(h) > size; λ(h) < size is an error.
 func EnumerateMinCuts(h *graph.Graph, size int, rng *rand.Rand) ([]Cut, error) {
 	if !h.Connected() {
 		return nil, fmt.Errorf("core: cut enumeration needs a connected graph")
@@ -203,130 +141,172 @@ func EnumerateMinCuts(h *graph.Graph, size int, rng *rand.Rand) ([]Cut, error) {
 		return cutsFromCutPairs(h)
 	case rng == nil:
 		return nil, fmt.Errorf("core: size-%d enumeration requires rng", size)
-	case size == 3:
-		// The linear cap-3 check cannot tell 3 from more; an empty label
-		// enumeration does.
-		if lambda := h.EdgeConnectivityUpTo(3); lambda < 3 {
-			return nil, fmt.Errorf("core: graph has connectivity %d < requested cut size %d", lambda, size)
-		}
-		return cutsByLabels(h, rng.Int63()), nil
-	default:
-		return cutsByFlow(h, size, rng)
 	}
+	return cutsByFlow(h, size, rng)
 }
 
 // cutsByFlow enumerates the size-edge minimum cuts of h with the unit-flow
 // engine (graph.EachMinCut), in sortCuts order. It reports none when
-// λ(h) > size and an error when λ(h) < size. When λ(h) == size it draws one
-// Int63 from rng and discards it: the Monte Carlo enumerator this engine
-// replaced drew its trial seed there, so every solve's random stream, and
-// with it every result, stays what it was whenever that enumerator found
-// every cut.
+// λ(h) > size and an error when λ(h) < size. It draws one Int63 from rng
+// and discards it where the enumerator it replaced drew its seed: the
+// size-3 cycle-space labels whenever λ(h) ≥ 3, the Monte Carlo trials
+// from size 4 on only when λ(h) == size. So every solve's random stream,
+// and with it every result, stays what it was.
 func cutsByFlow(h *graph.Graph, size int, rng *rand.Rand) ([]Cut, error) {
 	var store cutStore
 	store.reset(h.N())
 	var out []Cut
 	lambda := h.EachMinCut(size, func(side []uint64) { out = append(out, store.alloc(side)) })
-	if lambda > size {
-		return nil, nil // no cuts of this size: already (size+1)-connected
-	}
 	if lambda < size {
 		return nil, fmt.Errorf("core: graph has connectivity %d < requested cut size %d", lambda, size)
 	}
-	rng.Int63()
+	if lambda == size || size == 3 {
+		rng.Int63()
+	}
+	if lambda > size {
+		return nil, nil // no cuts of this size: already (size+1)-connected
+	}
 	sortCuts(out)
 	return out, nil
 }
 
-// componentsSkipping labels the connected components of h with up to three
-// edges (skip1, skip2, skip3; pass -1 for none) ignored, writing component
-// indices into comp (length h.N()) and using queue (capacity >= h.N()) as
-// BFS scratch. It returns the component count. Replaces the per-exclusion
-// SubgraphWithout + Components pattern: no subgraph or exclusion map is
-// built, and the caller's scratch is reused across scans.
-func componentsSkipping(h *graph.Graph, comp, queue []int, skip1, skip2, skip3 int) int {
-	for v := range comp {
-		comp[v] = -1
-	}
-	count := 0
-	for s := 0; s < h.N(); s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		comp[s] = count
-		queue = append(queue[:0], s)
-		for qi := 0; qi < len(queue); qi++ {
-			v := queue[qi]
-			for _, a := range h.Adj(v) {
-				if a.Edge == skip1 || a.Edge == skip2 || a.Edge == skip3 || comp[a.To] != -1 {
-					continue
-				}
-				comp[a.To] = count
-				queue = append(queue, a.To)
-			}
-		}
-		count++
-	}
-	return count
+// treeSides reads the sides of small cuts off a DFS spanning tree of a
+// connected graph, rooted at vertex 0. A vertex lies on the far side of a
+// cut iff its tree path from the root crosses the cut an odd number of
+// times, so the side without vertex 0 is the XOR of the subtrees below the
+// cut's tree edges. Every subtree is an interval of the preorder, so the
+// XOR of two subtrees is at most two intervals, and a side costs
+// O(n/64 + the smaller of the side and its complement) to write out.
+type treeSides struct {
+	n     int
+	order []int // preorder: subtree(v) is order[pos[v] : pos[v]+size[v]]
+	pos   []int
+	size  []int
+	child []int // per edge: the child endpoint of a tree edge, -1 otherwise
+	side  []uint64
 }
 
-// sideOf writes into side, and returns it, the bitset of component 1 of a
-// two-component componentsSkipping labelling. Vertex 0 seeds the first BFS,
-// so comp[0] == 0 and the side is already canonically oriented.
-func sideOf(comp []int, side []uint64) []uint64 {
-	for i := range side {
-		side[i] = 0
+func newTreeSides(h *graph.Graph) *treeSides {
+	n := h.N()
+	ts := &treeSides{
+		n:     n,
+		order: make([]int, 0, n),
+		pos:   make([]int, n),
+		size:  make([]int, n),
+		child: make([]int, h.M()),
+		side:  make([]uint64, cutWords(n)),
 	}
-	for v, cv := range comp {
-		if cv == 1 {
-			side[v/64] |= 1 << uint(v%64)
+	for i := range ts.child {
+		ts.child[i] = -1
+	}
+	for v := range ts.pos {
+		ts.pos[v] = -1
+	}
+	type frame struct{ v, arc int }
+	stack := []frame{{v: 0}}
+	ts.pos[0] = 0
+	ts.order = append(ts.order, 0)
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		adj := h.Adj(top.v)
+		if top.arc == len(adj) {
+			ts.size[top.v] = len(ts.order) - ts.pos[top.v]
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		a := adj[top.arc]
+		top.arc++
+		if ts.pos[a.To] != -1 {
+			continue
+		}
+		ts.pos[a.To] = len(ts.order)
+		ts.order = append(ts.order, a.To)
+		ts.child[a.Edge] = a.To
+		stack = append(stack, frame{v: a.To})
+	}
+	return ts
+}
+
+// sideOf returns, in scratch valid until the next call, the canonical side
+// of the cut whose tree edges are among edges.
+func (ts *treeSides) sideOf(edges ...int) []uint64 {
+	// Interval endpoints in the preorder; the XOR of laminar intervals is
+	// [p0, p1) ∪ [p2, p3) ∪ ... over the sorted endpoints.
+	var ends [4]int
+	k := 0
+	for _, e := range edges {
+		if x := ts.child[e]; x != -1 {
+			ends[k], ends[k+1] = ts.pos[x], ts.pos[x]+ts.size[x]
+			k += 2
+		}
+	}
+	pts := ends[:k]
+	slices.Sort(pts)
+	in := 0
+	for i := 0; i < k; i += 2 {
+		in += pts[i+1] - pts[i]
+	}
+	side := ts.side
+	if 2*in <= ts.n {
+		clear(side)
+		for i := 0; i < k; i += 2 {
+			for _, v := range ts.order[pts[i]:pts[i+1]] {
+				side[v/64] |= 1 << uint(v%64)
+			}
+		}
+		return side
+	}
+	// Most vertices are in: start full and clear the gaps between the
+	// intervals, the first of which holds vertex 0 (the root comes first).
+	for i := range side {
+		side[i] = ^uint64(0)
+	}
+	if rem := uint(ts.n % 64); rem != 0 {
+		side[len(side)-1] = (1 << rem) - 1
+	}
+	var gaps [6]int
+	copy(gaps[1:], pts)
+	gaps[k+1] = ts.n
+	for i := 0; i < k+2; i += 2 {
+		for _, v := range ts.order[gaps[i]:gaps[i+1]] {
+			side[v/64] &^= 1 << uint(v%64)
 		}
 	}
 	return side
 }
 
-// cutsFromBridges converts each bridge into its bipartition with one
-// component scan per bridge over shared scratch.
+// cutsFromBridges turns each bridge into the subtree below it.
 func cutsFromBridges(h *graph.Graph) []Cut {
 	bridges := h.Bridges()
 	if len(bridges) == 0 {
 		return nil
 	}
-	n := h.N()
-	comp := make([]int, n)
-	queue := make([]int, 0, n)
+	ts := newTreeSides(h)
+	var store cutStore
+	store.reset(h.N())
 	out := make([]Cut, 0, len(bridges))
 	for _, b := range bridges {
-		componentsSkipping(h, comp, queue, b, -1, -1)
-		e := h.Edge(b)
-		side := comp[e.U]
-		out = append(out, newCut(n, func(v int) bool { return comp[v] == side }))
+		out = append(out, store.alloc(ts.sideOf(b)))
 	}
 	return out
 }
 
-// cutsFromCutPairs converts each cut pair into its bipartition, deduping
-// pairs that induce the same bipartition through the intern table.
+// cutsFromCutPairs turns each cut pair of the 2-edge-connected h into its
+// side. A size-2 cut has exactly two edges, so each pair is a distinct cut.
 func cutsFromCutPairs(h *graph.Graph) ([]Cut, error) {
+	if lambda := h.EdgeConnectivityUpTo(2); lambda < 2 {
+		return nil, fmt.Errorf("core: graph has connectivity %d < requested cut size 2", lambda)
+	}
 	pairs := h.CutPairs()
 	if len(pairs) == 0 {
 		return nil, nil
 	}
-	n := h.N()
-	comp := make([]int, n)
-	queue := make([]int, 0, n)
-	side := make([]uint64, cutWords(n))
-	var itn cutInterner
-	itn.reset(n)
+	ts := newTreeSides(h)
+	var store cutStore
+	store.reset(h.N())
 	out := make([]Cut, 0, len(pairs))
 	for _, p := range pairs {
-		if count := componentsSkipping(h, comp, queue, p.A, p.B, -1); count != 2 {
-			// A minimum cut always splits into exactly two components.
-			return nil, fmt.Errorf("core: cut pair %v split graph into %d components", p, count)
-		}
-		if c, isNew := itn.add(sideOf(comp, side)); isNew {
-			out = append(out, c)
-		}
+		out = append(out, store.alloc(ts.sideOf(p.A, p.B)))
 	}
 	return out, nil
 }

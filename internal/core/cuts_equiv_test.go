@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -93,9 +94,9 @@ const bruteForceMaxN = 20
 // TestEnumerateMinCutsEquivalenceCorpus pins EnumerateMinCuts to exact
 // oracles across the ten generator families at sizes 3–5: to brute force
 // over every bipartition wherever n ≤ 20, and on every λ=3 case, large
-// ones included, to the unit-flow engine called directly, an enumerator
-// independent of the cycle-space labels that serve size 3. Both sort
-// canonically, so the slices must be identical.
+// ones included, to threeCutsByDeletion, which shares no code with the
+// unit-flow engine. Both sort canonically, so the slices must be
+// identical.
 func TestEnumerateMinCutsEquivalenceCorpus(t *testing.T) {
 	for _, tc := range equivCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -111,12 +112,8 @@ func TestEnumerateMinCutsEquivalenceCorpus(t *testing.T) {
 				t.Fatal("no cuts found")
 			}
 			if tc.lambda == 3 {
-				flow, err := cutsByFlow(g, 3, rand.New(rand.NewSource(202)))
-				if err != nil {
-					t.Fatalf("flow engine: %v", err)
-				}
-				if !reflect.DeepEqual(got, flow) {
-					t.Fatalf("label path and flow engine differ: %d vs %d cuts", len(got), len(flow))
+				if want := threeCutsByDeletion(g); !reflect.DeepEqual(got, want) {
+					t.Fatalf("flow engine and deletion oracle differ: %d vs %d cuts", len(got), len(want))
 				}
 			}
 			if g.N() > bruteForceMaxN {
@@ -127,6 +124,29 @@ func TestEnumerateMinCutsEquivalenceCorpus(t *testing.T) {
 			}
 		})
 	}
+}
+
+// threeCutsByDeletion lists the 3-edge cuts of a 3-edge-connected g in
+// sortCuts order by brute force over one deleted edge: every 3-cut through
+// e is a cut pair of g−e, and its sides are the components of g without
+// the three edges.
+func threeCutsByDeletion(g *graph.Graph) []Cut {
+	seen := map[string]bool{}
+	var out []Cut
+	for e := 0; e < g.M(); e++ {
+		rest, ids := g.SubgraphWithout(map[int]bool{e: true})
+		for _, p := range rest.CutPairs() {
+			sub, _ := g.SubgraphWithout(map[int]bool{e: true, ids[p.A]: true, ids[p.B]: true})
+			comp, _ := sub.Components()
+			c := newCut(g.N(), func(v int) bool { return comp[v] != comp[0] })
+			if !seen[c.Key()] {
+				seen[c.Key()] = true
+				out = append(out, c)
+			}
+		}
+	}
+	sortCuts(out)
+	return out
 }
 
 // TestEnumerateMinCutsConcurrentDeterministic pins the determinism contract
@@ -168,9 +188,9 @@ func TestEnumerateMinCutsConcurrentDeterministic(t *testing.T) {
 }
 
 // TestEnumerateMinCutsChecksConnectivity pins the enumerator's own λ check
-// on a 4-edge-connected graph: size 3 (the linear cap-3 check, then an empty
-// label enumeration) finds no cuts, size 4 (one unit-flow pass) finds the
-// 4-cuts, and size 5 is an error because λ < 5.
+// on a 4-edge-connected graph: size 3 (a unit-flow pass whose flows all
+// reach 4) finds no cuts, size 4 finds the 4-cuts, and size 5 is an error
+// because λ < 5.
 func TestEnumerateMinCutsChecksConnectivity(t *testing.T) {
 	g := graph.Harary(4, 14, graph.UnitWeights())
 	none, err := EnumerateMinCuts(g, 3, rand.New(rand.NewSource(3)))
@@ -192,59 +212,61 @@ func TestEnumerateMinCutsChecksConnectivity(t *testing.T) {
 	}
 }
 
-// TestCutInterner covers dedup, collision-safe equality, and block
-// detachment on reset.
-func TestCutInterner(t *testing.T) {
-	var it cutInterner
-	it.reset(130) // 3 words
+// TestCutStoreDetachesOnReset pins cutStore's ownership rule: alloc copies
+// the caller's words, and a reset never clobbers a cut handed out before
+// it.
+func TestCutStoreDetachesOnReset(t *testing.T) {
+	var cs cutStore
+	cs.reset(130) // 3 words
 	a := []uint64{1, 2, 3}
-	b := []uint64{1, 2, 4}
-	c1, new1 := it.add(a)
-	if !new1 {
-		t.Fatal("first add not new")
-	}
-	if _, new2 := it.add(a); new2 {
-		t.Fatal("duplicate add reported new")
-	}
-	if _, new3 := it.add(b); !new3 {
-		t.Fatal("distinct add not new")
-	}
-	// Mutating the input after add must not affect the interned copy.
+	c1 := cs.alloc(a)
 	a[0] = 77
-	if _, isNew := it.add([]uint64{1, 2, 3}); isNew {
-		t.Fatal("interned copy was aliased to caller memory")
+	if c1.side[0] != 1 {
+		t.Fatal("stored cut aliases the caller's words")
 	}
-	old := c1.side
-	it.reset(130)
-	if _, isNew := it.add([]uint64{1, 2, 3}); !isNew {
-		t.Fatal("reset kept old entries")
+	cs.reset(130)
+	for i := 0; i < 64; i++ { // past the first block
+		cs.alloc([]uint64{9, 9, 9})
 	}
-	if old[0] != 1 || old[1] != 2 || old[2] != 3 {
-		t.Fatal("reset clobbered a cut handed out earlier")
+	if !reflect.DeepEqual(c1.side, []uint64{1, 2, 3}) {
+		t.Fatalf("reset clobbered a cut handed out earlier: %v", c1.side)
 	}
 }
 
-// TestComponentsSkipping pins the scan against the SubgraphWithout oracle.
-func TestComponentsSkipping(t *testing.T) {
+// TestTreeSidesMatchComponents pins the tree sides of every bridge and
+// every 2-edge cut to the components left by deleting the cut's edges, on
+// graphs with small and large sides, so both the set and the complement
+// writes of sideOf run.
+func TestTreeSidesMatchComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	g := graph.RandomKConnected(12, 2, 8, rng, graph.UnitWeights())
-	comp := make([]int, g.N())
-	queue := make([]int, 0, g.N())
-	for a := 0; a < g.M(); a++ {
-		for b := -1; b < a; b++ {
-			skip := map[int]bool{a: true}
-			if b >= 0 {
-				skip[b] = true
-			}
-			sub, _ := g.SubgraphWithout(skip)
-			wantComp, wantCount := sub.Components()
-			gotCount := componentsSkipping(g, comp, queue, a, b, -1)
-			if gotCount != wantCount {
-				t.Fatalf("skip{%d,%d}: %d components, want %d", a, b, gotCount, wantCount)
-			}
-			for v := range wantComp {
-				if comp[v] != wantComp[v] {
-					t.Fatalf("skip{%d,%d}: vertex %d in comp %d, want %d", a, b, v, comp[v], wantComp[v])
+	u := graph.UnitWeights()
+	path := graph.New(70)
+	for i := 0; i+1 < 70; i++ {
+		path.AddEdge(i, (i+37)%70, 1)
+	}
+	for _, g := range []*graph.Graph{
+		graph.RandomKConnected(12, 2, 8, rng, u),
+		graph.RandomKConnected(70, 1, 20, rng, u),
+		graph.Cycle(130, u),
+		path,
+	} {
+		ts := newTreeSides(g)
+		for a := 0; a < g.M(); a++ {
+			for b := -1; b < a; b++ {
+				skip := map[int]bool{a: true}
+				edges := []int{a}
+				if b >= 0 {
+					skip[b] = true
+					edges = append(edges, b)
+				}
+				sub, _ := g.SubgraphWithout(skip)
+				comp, count := sub.Components()
+				if count != 2 {
+					continue
+				}
+				want := newCut(g.N(), func(v int) bool { return comp[v] != comp[0] })
+				if got := ts.sideOf(edges...); !reflect.DeepEqual(got, want.side) {
+					t.Fatalf("n=%d cut %v: side %x, want %x", g.N(), edges, got, want.side)
 				}
 			}
 		}
@@ -273,12 +295,11 @@ func TestEnumerateMinCutsTwoVertexMultigraph(t *testing.T) {
 	}
 }
 
-// TestEnumerateMinCutsLargeFamilies checks both exact enumerators far
-// beyond brute force, on families whose minimum cuts are known in closed
+// TestEnumerateMinCutsLargeFamilies checks the unit-flow engine far beyond
+// brute force, on families whose minimum cuts are known in closed
 // form: Harary(k, n) for k = 3, 4 and large n has exactly the n singleton
 // cuts, and the doubled cycle on n vertices has one 4-cut per arc {i..j}
-// of the cycle avoiding vertex 0, n(n−1)/2 in all. At size 3 the label path
-// and the flow engine must also agree slice for slice.
+// of the cycle avoiding vertex 0, n(n−1)/2 in all.
 func TestEnumerateMinCutsLargeFamilies(t *testing.T) {
 	u := graph.UnitWeights()
 	singletons := func(t *testing.T, g *graph.Graph, cuts []Cut) {
@@ -305,13 +326,6 @@ func TestEnumerateMinCutsLargeFamilies(t *testing.T) {
 			t.Fatal(err)
 		}
 		singletons(t, g, got)
-		flow, err := cutsByFlow(g, 3, rand.New(rand.NewSource(77)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, flow) {
-			t.Fatalf("label path and flow engine differ: %d vs %d cuts", len(got), len(flow))
-		}
 	})
 	t.Run("harary-ring/k=4/n=4096", func(t *testing.T) {
 		g := graph.Harary(4, 4096, u)
@@ -341,11 +355,14 @@ func TestEnumerateMinCutsLargeFamilies(t *testing.T) {
 	})
 }
 
-// FuzzEnumerateMinCuts pins EnumerateMinCuts at sizes 3–6 to brute force on
-// multigraphs with n ≤ 12: on λ = size inputs it must return exactly the
-// minimum cuts in canonical order, on λ > size none, and on λ < size an
-// error. Its seeds are the corpus families small enough to decode, at their
-// own λ and one off it.
+// FuzzEnumerateMinCuts pins EnumerateMinCuts at sizes 1–6 to brute force
+// on multigraphs with n ≤ 12: on λ = size inputs it must return exactly the
+// minimum cuts, in canonical order from size 3 on and in crossing-edge
+// order at sizes 1–2; on λ > size none, and on λ < size an error. It also
+// pins the random stream: size 3 draws one Int63 whenever λ ≥ 3, larger
+// sizes only when λ = size, and sizes 1–2 draw nothing and give the same
+// cuts with a nil rng. Its seeds are the corpus families small enough to
+// decode, at their own λ and one off it.
 func FuzzEnumerateMinCuts(f *testing.F) {
 	u := graph.UnitWeights()
 	for _, g := range []*graph.Graph{
@@ -359,17 +376,39 @@ func FuzzEnumerateMinCuts(f *testing.F) {
 		graph.CliqueChain(2, 6, 5, u),
 		multiplyEdges(graph.PaperFigure2Graph(), 2),
 		tripleEdge(),
+		graph.Cycle(9, u),
+		graph.CliqueChain(3, 4, 1, u),
 	} {
 		lam := g.EdgeConnectivity()
 		for _, size := range []int{lam - 1, lam, lam + 1} {
-			f.Add(encodeMultigraph(g), uint8(size-3), int64(size))
+			f.Add(encodeMultigraph(g), uint8(size-1), int64(size))
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, sizeByte uint8, seed int64) {
 		g := fuzzMultigraph(data, 12)
-		size := 3 + int(sizeByte)%4
-		got, err := EnumerateMinCuts(g, size, rand.New(rand.NewSource(seed)))
+		size := 1 + int(sizeByte)%6
+		rng := rand.New(rand.NewSource(seed))
+		got, err := EnumerateMinCuts(g, size, rng)
 		lambda, want := bruteForceMinCuts(g)
+		draws := 0
+		if (size == 3 && lambda >= 3) || (size > 3 && lambda == size) {
+			draws = 1
+		}
+		ref := rand.New(rand.NewSource(seed))
+		for i := 0; i < draws; i++ {
+			ref.Int63()
+		}
+		if next, wantNext := rng.Int63(), ref.Int63(); next != wantNext {
+			t.Fatalf("λ=%d, size %d: the rng moved other than %d draws", lambda, size, draws)
+		}
+		if size <= 2 {
+			if again, errAgain := EnumerateMinCuts(g, size, nil); !reflect.DeepEqual(again, got) || (errAgain == nil) != (err == nil) {
+				t.Fatalf("size %d: a nil rng changed the result", size)
+			}
+			checkCrossingOrder(t, g, got)
+			got = slices.Clone(got)
+			sortCuts(got)
+		}
 		switch {
 		case lambda < size:
 			if err == nil {
@@ -385,6 +424,44 @@ func FuzzEnumerateMinCuts(f *testing.F) {
 			t.Fatalf("λ=size=%d: got %d cuts, brute force %d", size, len(got), len(want))
 		}
 	})
+}
+
+// checkCrossingOrder checks that cuts come in ascending order of their
+// crossing edge IDs, compared as sequences: bridge order at size 1 and
+// graph.CutPairs order at size 2.
+func checkCrossingOrder(t *testing.T, g *graph.Graph, cuts []Cut) {
+	t.Helper()
+	var prev []int
+	for i, c := range cuts {
+		var ids []int
+		for _, e := range g.Edges() {
+			if c.Crosses(e.U, e.V) {
+				ids = append(ids, e.ID)
+			}
+		}
+		if i > 0 && slices.Compare(prev, ids) >= 0 {
+			t.Fatalf("cut %d crosses %v, after %v", i, ids, prev)
+		}
+		prev = ids
+	}
+}
+
+// fuzzMultigraph decodes data into a multigraph on 2..maxN vertices with at
+// most maxN(maxN−1)/2 edges: the first byte picks n, and each following
+// byte pair is one edge, endpoints taken mod n (parallel edges occur; a
+// pair naming one vertex twice is skipped, as graphs have no self-loops).
+func fuzzMultigraph(data []byte, maxN int) *graph.Graph {
+	if len(data) == 0 {
+		return graph.New(2)
+	}
+	n := 2 + int(data[0])%(maxN-1)
+	g := graph.New(n)
+	for i := 1; i+1 < len(data) && g.M() < maxN*(maxN-1)/2; i += 2 {
+		if u, v := int(data[i])%n, int(data[i+1])%n; u != v {
+			g.AddEdge(u, v, 1)
+		}
+	}
+	return g
 }
 
 // encodeMultigraph is the inverse of fuzzMultigraph for graphs it can

@@ -114,10 +114,11 @@ func mix64(x uint64) uint64 {
 // treeFP fingerprints the set of non-tree edges covering one DFS tree edge:
 // their number, the xor of their IDs and the sum of their mixed IDs.
 type treeFP struct {
-	cnt  int
-	xr   uint64
-	hs   uint64
-	edge int // the tree edge
+	cnt   int
+	xr    uint64
+	hs    uint64
+	edge  int // the tree edge
+	child int // its child vertex
 }
 
 // sameSet reports whether a and b carry the same fingerprint. Equal covering
@@ -167,15 +168,18 @@ func compareFP(a, b treeFP) int {
 // counts exactly the covering edges), its ID to an xor at both endpoints
 // (fully-contained edges cancel), and a mixed hash with opposite signs (same
 // cancellation). A count-1 edge reads its partner straight out of the xor.
-// Case (b) sorts the fingerprints, so equal covering sets sit in one run,
-// and confirms each run exactly — never trusting the hash — with a bridge
-// scan of G−t: those bridges are, by definition, the exact partner set of t.
-// A hash collision merely costs one extra scan.
+// Case (b) sorts the fingerprints, so equal covering sets sit in one run.
+// EdgeConnectivityUpTo confirms a run with a bridge scan of G−t: those
+// bridges are, by definition, the exact partner set of t. CutPairs confirms
+// every run at once instead, by counting shared covering edges (see
+// countShared), and falls back to bridge scans only for a run that holds a
+// hash collision. Neither ever trusts the hash.
 //
 // Instances are recycled through cutScannerPool and resized per graph, so a
 // warm pass allocates nothing.
 type cutScanner struct {
 	disc       []int // preorder index; -1 = unvisited
+	end        []int // preorder index just past the vertex's subtree
 	parentEdge []int // tree edge to the DFS parent; -1 at roots
 	order      []int // preorder: parents precede children
 	isTree     []bool
@@ -189,6 +193,13 @@ type cutScanner struct {
 	partners []int
 	resolved []bool
 	bridges  bridgeScanner
+	// countShared scratch: back edges bucketed by their upper endpoint's
+	// preorder index, a Fenwick tree over preorder, and the run checks.
+	head   []int
+	lower  []int
+	fen    []int32
+	checks []runCheck
+	bad    []bool
 }
 
 var cutScannerPool = sync.Pool{New: func() any { return new(cutScanner) }}
@@ -198,6 +209,7 @@ var cutScannerPool = sync.Pool{New: func() any { return new(cutScanner) }}
 func (s *cutScanner) load(g *Graph) {
 	n, m := g.n, len(g.edges)
 	s.disc = grow(s.disc, n)
+	s.end = grow(s.end, n)
 	s.parentEdge = grow(s.parentEdge, n)
 	s.cnt = grow(s.cnt, n)
 	s.xr = grow(s.xr, n)
@@ -229,6 +241,7 @@ func (s *cutScanner) forest(g *Graph) int {
 		for len(stack) > 0 {
 			top := &stack[len(stack)-1]
 			if top.arcIdx == len(g.adj[top.v]) {
+				s.end[top.v] = len(order)
 				stack = stack[:len(stack)-1]
 				continue
 			}
@@ -331,10 +344,11 @@ func (s *cutScanner) upTo3(g *Graph, capLimit int) int {
 }
 
 // CutPairs enumerates every cut pair of g with the cutScanner pass (see its
-// doc for the argument) plus one bridge scan per equivalence class of tree
-// edges sharing a covering set of two or more non-tree edges: O(n + m +
-// classes·(n+m)) in total. Count-1 classes need no scan, because a
-// one-element covering set is determined exactly by (count, xor).
+// doc for the argument). Tree edges sharing a covering set of two or more
+// non-tree edges are confirmed by countShared, with a bridge scan per tree
+// edge only in a run that holds a fingerprint collision: O((n + m) log n)
+// plus the output. Count-1 classes need no check, because a one-element
+// covering set is determined exactly by (count, xor).
 //
 // The graph must be 2-edge-connected (so that every size-2 cut is a pair of
 // edges, each individually removable without disconnecting).
@@ -348,13 +362,25 @@ func (g *Graph) CutPairs() []CutPair {
 	s.load(g)
 	s.forest(g)
 	s.fingerprint(g)
+	return s.cutPairs(g)
+}
 
+// cutPairs lists the cut pairs of g, loaded and fingerprinted, in (A, B)
+// order.
+func (s *cutScanner) cutPairs(g *Graph) []CutPair {
 	var pairs []CutPair
 	addPair := func(a, b int) {
 		if a > b {
 			a, b = b, a
 		}
 		pairs = append(pairs, CutPair{A: a, B: b})
+	}
+	addRun := func(run []treeFP) {
+		for a := range run {
+			for b := a + 1; b < len(run); b++ {
+				addPair(run[a].edge, run[b].edge)
+			}
+		}
 	}
 	fps := s.fps[:0]
 	for _, x := range s.order {
@@ -366,13 +392,14 @@ func (g *Graph) CutPairs() []CutPair {
 			// Exactly one covering non-tree edge: the xor IS its ID.
 			addPair(pe, int(s.xr[x]))
 		}
-		fps = append(fps, treeFP{cnt: s.cnt[x], xr: s.xr[x], hs: s.hs[x], edge: pe})
+		fps = append(fps, treeFP{cnt: s.cnt[x], xr: s.xr[x], hs: s.hs[x], edge: pe, child: x})
 	}
 	s.fps = fps
 	slices.SortFunc(fps, compareFP)
-	s.resolved = grow(s.resolved, m)
-	resolved := s.resolved
-	clear(resolved)
+	// A class of tree edges sharing a covering set lies on one root path
+	// (a back edge covers a vertical path), so in preorder each member is
+	// an ancestor edge of the next. Check each such consecutive pair.
+	checks := s.checks[:0]
 	for i, j := 0, 0; i < len(fps); i = j {
 		j = runEnd(fps, i)
 		run := fps[i:j]
@@ -380,33 +407,29 @@ func (g *Graph) CutPairs() []CutPair {
 			continue
 		}
 		if run[0].cnt == 1 {
-			// The whole run genuinely shares its one covering edge.
-			for a := range run {
-				for b := a + 1; b < len(run); b++ {
-					addPair(run[a].edge, run[b].edge)
-				}
-			}
+			addRun(run) // the whole run genuinely shares its one covering edge
 			continue
 		}
-		// Bridges of G−t are the exact partners of t, so one scan settles
-		// t's entire class; hash-merged strangers stay unresolved and get
-		// their own scan.
-		for _, f := range run {
-			t := f.edge
-			if resolved[t] {
-				continue
-			}
-			resolved[t] = true
-			s.partners = s.bridges.scan(g, t, s.partners[:0])
-			class := s.partners
-			for a, p := range class {
-				resolved[p] = true
-				addPair(t, p)
-				for _, q := range class[a+1:] {
-					addPair(p, q)
-				}
-			}
+		slices.SortFunc(run, func(a, b treeFP) int { return cmp.Compare(s.disc[a.child], s.disc[b.child]) })
+		for k := 1; k < len(run); k++ {
+			checks = append(checks, runCheck{upper: run[k-1].child, lower: run[k].child, run: i})
 		}
+	}
+	s.checks = checks
+	s.bad = grow(s.bad, len(fps))
+	clear(s.bad)
+	s.countShared(g, checks)
+	for i, j := 0, 0; i < len(fps); i = j {
+		j = runEnd(fps, i)
+		run := fps[i:j]
+		if len(run) < 2 || run[0].cnt == 1 {
+			continue
+		}
+		if !s.bad[i] {
+			addRun(run)
+			continue
+		}
+		s.resolveByScans(g, run, addPair)
 	}
 	slices.SortFunc(pairs, func(a, b CutPair) int {
 		if a.A != b.A {
@@ -415,6 +438,106 @@ func (g *Graph) CutPairs() []CutPair {
 		return cmp.Compare(a.B, b.B)
 	})
 	return pairs
+}
+
+// resolveByScans settles a run whose fingerprints collide: the bridges of
+// G−t are the exact partners of t, so one scan settles t's entire class,
+// and hash-merged strangers stay unresolved and get their own scan.
+func (s *cutScanner) resolveByScans(g *Graph, run []treeFP, addPair func(a, b int)) {
+	s.resolved = grow(s.resolved, len(g.edges))
+	resolved := s.resolved
+	for _, f := range run {
+		resolved[f.edge] = false
+	}
+	for _, f := range run {
+		t := f.edge
+		if resolved[t] {
+			continue
+		}
+		resolved[t] = true
+		s.partners = s.bridges.scan(g, t, s.partners[:0])
+		class := s.partners
+		for a, p := range class {
+			resolved[p] = true
+			addPair(t, p)
+			for _, q := range class[a+1:] {
+				addPair(p, q)
+			}
+		}
+	}
+}
+
+// runCheck asks whether the tree edges above upper and above lower, two
+// consecutive members of the fingerprint run starting at fps[run], have the
+// same covering set.
+type runCheck struct {
+	upper, lower int // child vertices, upper first in preorder
+	run          int
+}
+
+// countShared marks s.bad[c.run] for every check whose two tree edges do
+// not share their covering set. With lower below upper, a back edge covers
+// both iff it leaves lower's subtree for a vertex above upper, so the sets
+// are equal iff both counts equal the number of such edges. That number is
+// a dominance count — deeper endpoint inside lower's preorder interval,
+// upper endpoint before upper's preorder index — which one sweep over the
+// upper endpoints answers for every check with a Fenwick tree over the
+// deeper endpoints.
+func (s *cutScanner) countShared(g *Graph, checks []runCheck) {
+	if len(checks) == 0 {
+		return
+	}
+	n, disc := g.n, s.disc
+	s.head = grow(s.head, n+1)
+	head := s.head
+	clear(head)
+	backs := 0
+	for _, e := range g.edges {
+		if !s.isTree[e.ID] {
+			head[min(disc[e.U], disc[e.V])+1]++
+			backs++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		head[i] += head[i-1]
+	}
+	s.lower = grow(s.lower, backs)
+	for _, e := range g.edges {
+		if !s.isTree[e.ID] {
+			a, d := disc[e.U], disc[e.V]
+			if d < a {
+				a, d = d, a
+			}
+			s.lower[head[a]] = d
+			head[a]++
+		}
+	}
+	// head[a] now ends bucket a: lower[:head[a]] holds the deeper endpoints
+	// of the back edges whose upper endpoint has preorder index ≤ a.
+	s.fen = grow(s.fen, n+1)
+	fen := s.fen
+	clear(fen)
+	below := func(p int) int { // inserted deeper endpoints before index p
+		c := 0
+		for ; p > 0; p -= p & -p {
+			c += int(fen[p])
+		}
+		return c
+	}
+	slices.SortFunc(checks, func(a, b runCheck) int { return cmp.Compare(disc[a.upper], disc[b.upper]) })
+	inserted := 0
+	for _, c := range checks {
+		// upper is a child vertex, never a root, so its index is ≥ 1.
+		for ; inserted < head[disc[c.upper]-1]; inserted++ {
+			for p := s.lower[inserted] + 1; p <= n; p += p & -p {
+				fen[p]++
+			}
+		}
+		lo, hi := disc[c.lower], s.end[c.lower]
+		if lo >= s.end[c.upper] || below(hi)-below(lo) != s.fps[c.run].cnt {
+			s.bad[c.run] = true
+		}
+	}
 }
 
 // EdgeConnectivity returns the global edge connectivity λ(g): the minimum

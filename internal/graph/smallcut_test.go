@@ -242,3 +242,37 @@ func TestEdgeConnectivityUpToConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestCutPairsCollidingFingerprints forces every tree edge with two or more
+// covering edges into one fingerprint run per count, as if the hash
+// collided everywhere, and checks that CutPairs' run check sends such runs
+// to the bridge-scan fallback and still lists exactly the cut pairs.
+func TestCutPairsCollidingFingerprints(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	graphs := []*Graph{
+		Cycle(9, UnitWeights()),
+		blobRing(6, []int{1, 2, 3}),
+		blobRing(5, []int{2}),
+		Harary(3, 20, UnitWeights()),
+	}
+	for i := 0; i < 40; i++ {
+		if g := randomMultigraph(rng, 4+rng.Intn(8), 6+rng.Intn(14)); g.dinicUpTo(2) >= 2 {
+			graphs = append(graphs, g)
+		}
+	}
+	for i, g := range graphs {
+		var s cutScanner
+		s.load(g)
+		s.forest(g)
+		s.fingerprint(g)
+		for x := range s.cnt {
+			if s.cnt[x] >= 2 {
+				s.xr[x], s.hs[x] = 0, 0
+			}
+		}
+		got, want := s.cutPairs(g), cutPairsBruteForce(g)
+		if (len(got) != 0 || len(want) != 0) && !reflect.DeepEqual(got, want) {
+			t.Fatalf("graph %d (n=%d m=%d): %v, brute force %v", i, g.N(), g.M(), got, want)
+		}
+	}
+}

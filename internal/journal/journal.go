@@ -92,6 +92,10 @@ type Options struct {
 // ErrClosed is returned by Append after Close.
 var ErrClosed = errors.New("journal: closed")
 
+// ErrBadRecord is wrapped by the replay error for a record whose checksum
+// holds but whose payload does not decode: a format bug, not a torn tail.
+var ErrBadRecord = errors.New("journal: bad record")
+
 // maxRecordLen bounds a single record; a length header beyond it is treated
 // as corruption (protects replay from allocating garbage lengths).
 const maxRecordLen = 64 << 20
@@ -201,7 +205,7 @@ func scan(f *os.File) (*Replay, int64, error) {
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			// A checksummed record that fails to decode is a format bug,
 			// not a torn tail — surface it.
-			return nil, 0, fmt.Errorf("journal: record %d at offset %d: %w", len(rep.Records), off, err)
+			return nil, 0, fmt.Errorf("%w %d at offset %d: %w", ErrBadRecord, len(rep.Records), off, err)
 		}
 		rep.Records = append(rep.Records, rec)
 		off += 8 + int(n)

@@ -48,7 +48,7 @@ func (p *bcastManyProgram) Round(ctx *congest.Context, inbox []congest.Message) 
 // by pipelined tree broadcast in height + ℓ + O(1) rounds. Returns the
 // items as received at each vertex (in pipeline order, equal to the input
 // order).
-func BroadcastMany(g *graph.Graph, tr *tree.Rooted, items []int64) ([][]int64, congest.Metrics, error) {
+func BroadcastMany(g *graph.Graph, tr *tree.Rooted, items []int64, opts ...congest.Option) ([][]int64, congest.Metrics, error) {
 	progs := make([]*bcastManyProgram, g.N())
 	net := congest.NewNetwork(g, func(v int) congest.Program {
 		p := &bcastManyProgram{tr: tr, expect: len(items)}
@@ -57,7 +57,7 @@ func BroadcastMany(g *graph.Graph, tr *tree.Rooted, items []int64) ([][]int64, c
 		}
 		progs[v] = p
 		return p
-	})
+	}, opts...)
 	m, err := net.Run(tr.Height() + len(items) + 3)
 	if err != nil {
 		return nil, m, fmt.Errorf("primitives: BroadcastMany did not quiesce: %w", err)

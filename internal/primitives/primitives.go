@@ -183,10 +183,10 @@ func (a *aggProgram) Round(ctx *congest.Context, inbox []congest.Message) bool {
 
 // Aggregate convergecasts values[v] over tr with op, returning the aggregate
 // at the root. Height+O(1) rounds.
-func Aggregate(g *graph.Graph, tr *tree.Rooted, values []int64, op AggOp) (int64, congest.Metrics, error) {
+func Aggregate(g *graph.Graph, tr *tree.Rooted, values []int64, op AggOp, opts ...congest.Option) (int64, congest.Metrics, error) {
 	net := congest.NewNetwork(g, func(v int) congest.Program {
 		return &aggProgram{tr: tr, op: op, acc: values[v]}
-	})
+	}, opts...)
 	m, err := net.Run(tr.Height() + 3)
 	if err != nil {
 		return 0, m, fmt.Errorf("primitives: aggregate did not quiesce: %w", err)
@@ -300,7 +300,7 @@ func (u *upcastProgram) insert(x int64) {
 // pipelined convergecast. The classic pipelining argument gives height + ℓ
 // rounds, where ℓ is the number of distinct items. Returns the distinct
 // items collected at the root, sorted.
-func Upcast(g *graph.Graph, tr *tree.Rooted, items [][]int64) ([]int64, congest.Metrics, error) {
+func Upcast(g *graph.Graph, tr *tree.Rooted, items [][]int64, opts ...congest.Option) ([]int64, congest.Metrics, error) {
 	distinct := make(map[int64]bool)
 	for _, list := range items {
 		for _, x := range list {
@@ -317,7 +317,7 @@ func Upcast(g *graph.Graph, tr *tree.Rooted, items [][]int64) ([]int64, congest.
 			}
 		}
 		return &upcastProgram{tr: tr, pending: pending, known: known}
-	})
+	}, opts...)
 	m, err := net.Run(tr.Height() + len(distinct) + 3)
 	if err != nil {
 		return nil, m, fmt.Errorf("primitives: upcast did not quiesce: %w", err)

@@ -367,12 +367,12 @@ func runSegmentSummaries(g *graph.Graph, dec *segments.Decomposition, bfs *tree.
 		}
 		items[s.Root] = append(items[s.Root], int64(s.ID)<<20|m)
 	}
-	up, m1, err := primitives.Upcast(g, bfs, items)
+	up, m1, err := primitives.Upcast(g, bfs, items, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("tapdist: summary upcast: %w", err)
 	}
 	accAdd(acc, m1)
-	down, m2, err := primitives.BroadcastMany(g, bfs, up)
+	down, m2, err := primitives.BroadcastMany(g, bfs, up, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("tapdist: summary broadcast: %w", err)
 	}

@@ -70,7 +70,7 @@ func Connectivity(g *graph.Graph, opts ...congest.Option) (*Report, error) {
 	for i := range ones {
 		ones[i] = 1
 	}
-	count, m3, err := primitives.Aggregate(g, tr, ones, primitives.Sum)
+	count, m3, err := primitives.Aggregate(g, tr, ones, primitives.Sum, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("verify: count convergecast: %w", err)
 	}
@@ -149,7 +149,7 @@ func ThreeEdgeConnectivity(g *graph.Graph, bits int, rng *rand.Rand, opts ...con
 		}
 		items[o] = append(items[o], int64(lab))
 	}
-	_, m, err := primitives.Upcast(g, tr, items)
+	_, m, err := primitives.Upcast(g, tr, items, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("verify: label upcast: %w", err)
 	}
