@@ -426,6 +426,33 @@ func FuzzEnumerateMinCuts(f *testing.F) {
 	})
 }
 
+// FuzzEnumerateMinCutsSize3 pins size 3 alone to brute force on multigraphs
+// with n ≤ 10: on λ=3 inputs it must return exactly the minimum cuts in
+// canonical order, on λ>3 none, and on λ<3 or disconnected inputs an error.
+// Its corpus holds hand-picked cubic and near-cubic families; the same
+// graphs seed FuzzEnumerateMinCuts at size byte 2.
+func FuzzEnumerateMinCutsSize3(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		g := fuzzMultigraph(data, 10)
+		got, err := EnumerateMinCuts(g, 3, rand.New(rand.NewSource(seed)))
+		lambda, want := bruteForceMinCuts(g)
+		switch {
+		case lambda < 3:
+			if err == nil {
+				t.Fatalf("λ=%d: want an error, got %d cuts", lambda, len(got))
+			}
+		case err != nil:
+			t.Fatalf("λ=%d: %v", lambda, err)
+		case lambda > 3:
+			if len(got) != 0 {
+				t.Fatalf("λ=%d: want no 3-cuts, got %d", lambda, len(got))
+			}
+		case !reflect.DeepEqual(got, want):
+			t.Fatalf("λ=3: got %d cuts, brute force %d", len(got), len(want))
+		}
+	})
+}
+
 // checkCrossingOrder checks that cuts come in ascending order of their
 // crossing edge IDs, compared as sequences: bridge order at size 1 and
 // graph.CutPairs order at size 2.
