@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rounds"
-	"repro/internal/tap"
 )
 
 // AugOptions configures one Aug_k run (§4).
@@ -52,11 +51,11 @@ type AugResult struct {
 // activate with probability p_i, and the active candidates joining the
 // MST-filter forest (weights: A=0, active=1, rest=2 — realised by the
 // equivalent union-find filter seeded with A's components) are added to A.
-// The p_i schedule starts at 1/2^⌈log m⌉ and doubles every PhaseLen·⌈log n⌉
-// iterations, restarting whenever the maximum rounded cost-effectiveness
-// drops. The size-(k-1) cuts come from one EnumerateMinCuts call, which
-// checks λ(H) itself: no cuts means H is already k-edge-connected, and
-// λ(H) < k-1 is an error.
+// The p_i schedule is the sampler's: it starts at 1/2^⌈log m⌉, doubles
+// every PhaseLen·(⌈log n⌉+1) iterations and restarts whenever the maximum
+// rounded cost-effectiveness drops. The size-(k-1) cuts come from one
+// EnumerateMinCuts call, which checks λ(H) itself: no cuts means H is
+// already k-edge-connected, and λ(H) < k-1 is an error.
 func Aug(g *graph.Graph, h []int, k int, opts AugOptions) (*AugResult, error) {
 	if opts.Rng == nil {
 		return nil, fmt.Errorf("core: AugOptions.Rng is required")
@@ -90,13 +89,6 @@ func Aug(g *graph.Graph, h []int, k int, opts AugOptions) (*AugResult, error) {
 	for _, id := range h {
 		inH[id] = true
 	}
-	logn := int(rounds.Log2Ceil(n)) + 1
-	phaseLen := opts.PhaseLen
-	if phaseLen == 0 {
-		phaseLen = 1
-	}
-	maxIters := 20*logn*logn*logn + 200
-
 	// Candidate pool: edges outside H, with the cuts they cross, each
 	// carrying its live uncovered-cut count ce — kept current by the
 	// cut→candidate transpose below, so the per-iteration Lines 1–2 scan
@@ -108,7 +100,7 @@ func Aug(g *graph.Graph, h []int, k int, opts AugOptions) (*AugResult, error) {
 		cuts []int // indices into the cuts slice
 		inA  bool
 	}
-	var cands []*cand
+	var cands []*cand // ascending edge ID, and so is every pool
 	for _, e := range g.Edges() {
 		if inH[e.ID] {
 			continue
@@ -138,35 +130,18 @@ func Aug(g *graph.Graph, h []int, k int, opts AugOptions) (*AugResult, error) {
 
 	covered := make([]bool, len(cuts))
 	uncovered := len(cuts)
-	// Union-find re-seeded (Reset, one allocation for the whole loop) each
-	// iteration with A's forest, realising the MST filter of Line 4
-	// (Claims 4.1–4.3).
+	// The union-find holds A's components, realising the MST filter of
+	// Line 4 (Claims 4.1–4.3): it changes only when an edge joins A.
 	uf := graph.NewUnionFind(n)
 	deg := make([]int, len(cuts))
 	var a []int
-
-	// expOf returns the rounded cost-effectiveness exponent, with weight-0
-	// edges treated as +infinity per §2.1.
-	expOf := func(c *cand, ce int64) int {
-		if c.w == 0 {
-			return infExp
-		}
-		return tap.RoundedExp(ce, c.w)
-	}
-
-	mExp := 0
-	for v := 1; v < g.M(); v <<= 1 {
-		mExp++
-	}
-	pExp := mExp // p = 2^-pExp
-	prevBest := infExp + 1
-	itersAtThisP := 0
+	s := newSampler(g, opts.PhaseLen, opts.Rng)
+	mstRounds := rounds.MSTKuttenPeleg(n, int(d))
 
 	for uncovered > 0 {
-		if res.Iterations >= maxIters {
-			return nil, fmt.Errorf("core: Aug_%d exceeded %d iterations with %d cuts uncovered", k, maxIters, uncovered)
+		if err := s.next(); err != nil {
+			return nil, fmt.Errorf("core: Aug_%d %w with %d cuts uncovered", k, err, uncovered)
 		}
-		res.Iterations++
 
 		// Lines 1–2: cost-effectiveness and candidate selection, O(1) per
 		// candidate off the maintained ce caches.
@@ -176,7 +151,7 @@ func Aug(g *graph.Graph, h []int, k int, opts AugOptions) (*AugResult, error) {
 			if c.inA || c.ce == 0 {
 				continue
 			}
-			e := expOf(c, c.ce)
+			e := roundedExp(c.ce, c.w)
 			if e > best {
 				best = e
 				pool = pool[:0]
@@ -188,14 +163,6 @@ func Aug(g *graph.Graph, h []int, k int, opts AugOptions) (*AugResult, error) {
 		if len(pool) == 0 {
 			return nil, fmt.Errorf("core: Aug_%d stuck with %d cuts uncovered (graph not %d-edge-connected?)", k, uncovered, k)
 		}
-
-		// p_i schedule bookkeeping.
-		if best < prevBest {
-			pExp = mExp
-			itersAtThisP = 0
-		}
-		prevBest = best
-		res.PTrace = append(res.PTrace, pExp)
 
 		// Record the max cut degree for E6 before sampling.
 		for i := range deg {
@@ -216,23 +183,15 @@ func Aug(g *graph.Graph, h []int, k int, opts AugOptions) (*AugResult, error) {
 		}
 		res.MaxCutDegreeTrace = append(res.MaxCutDegreeTrace, maxDeg)
 
-		// Line 3: activation with probability p = 2^-pExp.
-		var active []*cand
-		for _, c := range pool {
-			if pExp == 0 || opts.Rng.Int63n(1<<uint(pExp)) == 0 {
-				active = append(active, c)
-			}
-		}
-		sort.Slice(active, func(i, j int) bool { return active[i].id < active[j].id })
+		// Line 3: activation with probability p_i.
+		picked, pExp := s.activate(best, len(pool))
+		res.PTrace = append(res.PTrace, pExp)
 
-		// Line 4: MST filter — active candidates joining the forest A.
-		uf.Reset()
-		for _, id := range a {
-			e := g.Edge(id)
-			uf.Union(e.U, e.V)
-		}
+		// Line 4: MST filter — active candidates joining the forest A, in
+		// ascending edge ID.
 		addedNow := 0
-		for _, c := range active {
+		for _, i := range picked {
+			c := pool[i]
 			e := g.Edge(c.id)
 			if uf.Union(e.U, e.V) {
 				c.inA = true
@@ -260,16 +219,11 @@ func Aug(g *graph.Graph, h []int, k int, opts AugOptions) (*AugResult, error) {
 		// Kutten–Peleg MST of Line 4, and O(D + n_i) to disseminate the
 		// added edges.
 		acc.Charge("iteration aggregation", 2*d)
-		acc.Charge("iteration MST filter", rounds.MSTKuttenPeleg(n, int(d)))
+		acc.Charge("iteration MST filter", mstRounds)
 		acc.Charge("learn added edges", d+int64(addedNow))
-
-		itersAtThisP++
-		if itersAtThisP >= phaseLen*logn && pExp > 0 {
-			pExp--
-			itersAtThisP = 0
-		}
 	}
 	sort.Ints(a)
+	res.Iterations = s.iters
 	res.Added = a
 	res.Weight = g.WeightOf(a)
 	res.Rounds = acc.Total()

@@ -1,9 +1,5 @@
 package core
 
-// infExp is the rounded cost-effectiveness exponent of a weight-0 edge
-// (treated as +infinity per §2.1). Shared by the 3-ECSS and Aug_k loops.
-const infExp = 1 << 20
-
 // nExpBuckets spans every value tap.RoundedExp can return (−62..63, at
 // indices 0..125) plus the infExp sentinel at index 126.
 const nExpBuckets = 127

@@ -47,6 +47,15 @@
 // dense cut indices (covered bitmaps, candidate cut-index lists) — no
 // string keys on any hot path.
 //
+// # One activation schedule
+//
+// Aug_k and the 3-ECSS loop draw their activations from one sampler: p_i
+// starts at 1/2^⌈log m⌉, doubles every PhaseLen·(⌈log n⌉+1) iterations and
+// restarts whenever the maximum rounded cost-effectiveness drops; each
+// candidate at that maximum activates with probability p_i, one draw per
+// candidate in ascending edge ID. Each loop keeps its own Line 4 (Aug's
+// MST filter, the 3-ECSS loop's direct add) and its own cover counting.
+//
 // # Output-sensitive candidate scans
 //
 // Both covering loops avoid rescanning their candidate pools. Aug keeps a
@@ -64,14 +73,8 @@
 // attaining it" into an O(pool + stale) pop — iterations touch candidates
 // proportional to what changed, not to m. The pool a bucket pop yields is
 // re-sorted to ascending edge ID, so RNG consumption and results are
-// bit-identical to the legacy full scans (pinned by the equivalence
-// corpus).
-//
-// ThreeECSSOptions.Rebalance adds the §5 mitigation for Θ(n)-height
-// labeling trees: when the tree grows past 4·⌈log n⌉ and a BFS probe of
-// H ∪ A shows at least a 2x height reduction, the engine is rebuilt on the
-// current selection, charging the measured rebuild rounds and emitting a
-// "rebalance" PhaseEvent.
+// bit-identical to a full per-iteration rescan with a from-scratch label
+// scan (the test-side reference the equivalence corpus pins it to).
 //
 //kecss:deterministic
 package core

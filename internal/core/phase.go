@@ -12,14 +12,11 @@ import "time"
 //	Solve2ECSS:             mst, tap
 //	SolveKECSS:             validate, mst, cut-enum (per level),
 //	                        augment (per level), audit (k >= 4)
-//	Solve3ECSSUnweighted:   validate, base, base-label, augment, correction,
-//	                        rebalance (only when Rebalance triggers)
-//	Solve3ECSSWeighted:     validate, base, base-label, augment, correction,
-//	                        rebalance (only when Rebalance triggers)
+//	Solve3ECSSUnweighted:   validate, base, base-label, augment, correction
+//	Solve3ECSSWeighted:     validate, base, base-label, augment, correction
 //
 // Cut enumeration emits no event of its own: a level's cut-enum span covers
-// the enumerator's λ check and the enumeration itself, whether the labels
-// (level 4) or the unit-flow engine (level 5 on) ran it.
+// the enumerator's λ check and the enumeration itself.
 //
 // Every SolveKECSS and 3-ECSS solve, kecss.Pool sweeps included, checks its
 // input's connectivity itself and emits exactly one validate event.

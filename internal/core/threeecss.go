@@ -10,7 +10,6 @@ import (
 	"repro/internal/cycles"
 	"repro/internal/graph"
 	"repro/internal/rounds"
-	"repro/internal/tap"
 )
 
 // ThreeECSSOptions configures the unweighted 3-ECSS solver (§5, Theorem 1.3).
@@ -30,33 +29,15 @@ type ThreeECSSOptions struct {
 	LabelBits int
 	// PhaseLen is the activation-schedule constant (see AugOptions.PhaseLen).
 	PhaseLen int
-	// Executor selects the simulator executor for the label scans.
+	// Executor selects the simulator executor for the base label scan.
 	Executor congest.Executor
-	// Arena supplies reusable simulation buffers for the label scans.
+	// Arena supplies reusable simulation buffers for the base label scan.
 	// Defaults to a fresh arena per solve.
 	Arena *congest.NetworkArena
 	// LabelArena supplies reusable scratch for the incremental labeling
 	// engine (cycles.Arena ownership rules apply: one live engine at a
 	// time, one arena per goroutine). Defaults to unpooled scratch.
 	LabelArena *cycles.Arena
-	// ReferenceLabeling re-runs the full distributed label scan over H ∪ A
-	// every iteration (the retained from-scratch path,
-	// cycles.Incremental.RelabelScan) instead of applying the O(|added|·
-	// height) incremental XOR updates. Results are identical — the
-	// equivalence corpus pins this — only the round accounting and the
-	// wall-clock differ. Used by tests and ablations.
-	ReferenceLabeling bool
-	// Rebalance enables the §5 tree rebalancing: when the labeling tree of
-	// H ∪ A is tall (ring-like bases drive it to Θ(n)) and a BFS of G
-	// restricted to the current H ∪ A would at least halve it, the engine
-	// is rebuilt over that BFS tree — capping the per-iteration label-
-	// update height at O(D) once the augmentation has added chords. The
-	// rebuild re-runs the measured distributed base scan (charged, and
-	// reported as a "rebalance" PhaseEvent) and resamples the non-tree
-	// labels from Rng, so rebalanced runs are deterministic but follow a
-	// different random trajectory than unrebalanced ones. Ignored under
-	// ReferenceLabeling (the oracle path keeps its fixed tree).
-	Rebalance bool
 	// Phase, if set, receives a PhaseEvent per completed phase (validate,
 	// base, base-label, augment, correction). Nil costs nothing.
 	Phase PhaseObserver
@@ -77,20 +58,19 @@ type ThreeECSSResult struct {
 	// Iterations is the number of sampling iterations that aggregated
 	// cost-effectiveness and ran the activation lottery. An iteration whose
 	// candidate pool is empty falls through to the exact correction without
-	// being counted (its aggregation result is discarded).
+	// being counted (its aggregation result is discarded), though it does
+	// count toward the sampler's iteration bound.
 	Iterations int
-	// Rounds combines the measured label-scan rounds with the charged
-	// per-iteration costs: the 2D cost-effectiveness aggregations, the
-	// O(height + |added|) incremental label dissemination (absent under
-	// ReferenceLabeling, where every scan is measured instead), and — on
-	// the rare empty-pool exit — the one discarded final aggregation
-	// (Theorem 1.3: O(D·log³n)).
+	// Rounds is the base 2-ECSS's rounds, plus the measured base label
+	// scan, plus the charged per-iteration costs: the 2D
+	// cost-effectiveness aggregations, the O(height + |added|) incremental
+	// label dissemination, and — on the rare empty-pool exit — the one
+	// discarded final aggregation (Theorem 1.3: O(D·log³n)).
 	Rounds int64
-	// LabelRoundsMeasured is the simulator-measured part of Rounds: the
-	// initial base label scan, plus every per-iteration rescan when
-	// ReferenceLabeling is set. Incremental label updates are charged
-	// analytically (O(height + |added|) per iteration) and therefore count
-	// toward Rounds but not toward this field.
+	// LabelRoundsMeasured is the simulator-measured part of Rounds: the one
+	// base label scan. Incremental label updates are charged analytically
+	// (O(height + |added|) per iteration) and therefore count toward Rounds
+	// but not toward this field.
 	LabelRoundsMeasured int64
 	// CorrectionEdges counts edges added by the exact fallback that runs if
 	// the w.h.p. label-based termination missed a cut pair (expected 0).
@@ -164,7 +144,6 @@ const (
 	chargeAggregation  = "cost-effectiveness aggregation"
 	chargeLabelUpdates = "incremental label dissemination (charged)"
 	chargeFinalAgg     = "final aggregation (no candidates)"
-	chargeRebalance    = "rebalance scans (measured)"
 )
 
 // solve3ECSS runs the §5 augmentation loop from the 2-edge-connected base h
@@ -175,27 +154,17 @@ const (
 // (cycles.Incremental): the BFS tree and labels of H are computed once
 // (distributed, measured), and each iteration only samples labels for the
 // newly activated candidates and XORs them along their tree paths, with an
-// O(height + |added|) dissemination charge. opts.ReferenceLabeling instead
-// re-runs the full measured scan each iteration (labelSubgraphReference) —
-// same results, different cost model.
+// O(height + |added|) dissemination charge.
 func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, acc *rounds.Accountant) (*ThreeECSSResult, error) {
 	bits := opts.LabelBits
 	if bits == 0 {
 		bits = 48
 	}
-	n := g.N()
-	logn := int(rounds.Log2Ceil(n)) + 1
-	phaseLen := opts.PhaseLen
-	if phaseLen == 0 {
-		phaseLen = 1
-	}
-	maxIters := 20*logn*logn*logn + 200
 	var simOpts []congest.Option
 	if opts.Executor != nil {
 		simOpts = append(simOpts, congest.WithExecutor(opts.Executor))
 	}
-	// The label scans run short-lived networks over g — the base scan once,
-	// plus one per iteration under ReferenceLabeling — the arena's best case.
+	// The base label scan runs one short-lived network over g.
 	simOpts = congest.WithDefaultArena(simOpts)
 	if opts.Arena != nil {
 		simOpts = append(simOpts, congest.WithArena(opts.Arena))
@@ -208,8 +177,8 @@ func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, a
 	if err != nil {
 		return nil, fmt.Errorf("core: labeling base H: %w", err)
 	}
-	defer func() { eng.Release() }() // eng is rebound when Rebalance rebuilds
-	res.LabelRoundsMeasured += int64(eng.Metrics.Rounds)
+	defer eng.Release()
+	res.LabelRoundsMeasured = int64(eng.Metrics.Rounds)
 	acc.Charge(chargeLabelScans, int64(eng.Metrics.Rounds))
 	opts.Phase.emit(PhaseEvent{
 		Phase: "base-label", Start: t0,
@@ -223,101 +192,51 @@ func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, a
 	}
 	sel := append([]int(nil), h...)
 
-	mExp := 0
-	for v := 1; v < g.M(); v <<= 1 {
-		mExp++
-	}
-	pExp := mExp
-	prevBest := 1 << 30
-	itersAtThisP := 0
-
-	var pool []int // candidate edge IDs at the maximum rounded value
-	var added []int
-
-	// The default path evaluates candidates output-sensitively: a
-	// cycles.CoverIndex keeps every candidate's |Ce| current under the
-	// engine's label updates (recomputing only candidates whose covering
-	// tree edges changed), and expBuckets keep them sorted by rounded
-	// exponent, so Lines 1–2 cost O(pool + changed candidates) per
-	// iteration instead of an O(m·height) rescan. The ReferenceLabeling
-	// oracle path below retains the full per-iteration rescan; the
-	// equivalence corpus pins the two paths to identical results.
-	var (
-		cover   *cycles.CoverIndex
-		bk      *expBuckets
-		candIDs []int
-		candIdx []int32 // host edge ID -> candidate index, -1 outside the pool
-	)
-	expFor := func(id int, ce int64) int {
-		if !weighted {
-			return tap.RoundedExp(ce, 1)
-		}
-		if w := g.Edge(id).W; w > 0 {
-			return tap.RoundedExp(ce, w)
-		}
-		return infExp // weight-0 edges have infinite cost-effectiveness
-	}
-	refreshBuckets := func() {
-		cover.Refresh(func(i int, ce int64) {
-			if ce == 0 {
-				bk.remove(i)
-				return
-			}
-			bk.update(i, expFor(candIDs[i], ce))
-		})
-	}
-	if !opts.ReferenceLabeling {
-		candIDs = make([]int, 0, g.M()-len(h))
-		candIdx = make([]int32, g.M())
-		for i := range candIdx {
-			candIdx[i] = -1
-		}
-		for _, e := range g.Edges() {
-			if selected[e.ID] {
-				continue
-			}
+	// Candidates are evaluated output-sensitively: a cycles.CoverIndex
+	// keeps every candidate's |Ce| current under the engine's label
+	// updates (recomputing only candidates whose covering tree edges
+	// changed), and expBuckets keep them sorted by rounded exponent, so
+	// Lines 1–2 cost O(pool + changed candidates) per iteration instead of
+	// an O(m·height) rescan. The equivalence corpus pins this against a
+	// from-scratch rescan.
+	candIDs := make([]int, 0, g.M()-len(h))
+	candIdx := make([]int32, g.M()) // candidate edge ID -> candidate index
+	for _, e := range g.Edges() {
+		if !selected[e.ID] {
 			candIdx[e.ID] = int32(len(candIDs))
 			candIDs = append(candIDs, e.ID)
 		}
-		cover = cycles.NewCoverIndex(eng, candIDs)
-		bk = newExpBuckets(len(candIDs))
 	}
+	cover := cycles.NewCoverIndex(eng, candIDs)
+	bk := newExpBuckets(len(candIDs))
+	refresh := func(i int, ce int64) {
+		if ce == 0 {
+			bk.remove(i)
+			return
+		}
+		w := int64(1)
+		if weighted {
+			w = g.Edge(candIDs[i]).W
+		}
+		bk.update(i, roundedExp(ce, w))
+	}
+	s := newSampler(g, opts.PhaseLen, opts.Rng)
+	var pool []int // candidate edge IDs at the maximum rounded value
+	var added []int
 
 	loopStart := opts.Phase.phaseStart()
 	roundsAtLoop := acc.Total()
-	for iters := 0; !eng.ThreeEdgeConnected(); {
-		if iters >= maxIters {
-			return nil, fmt.Errorf("core: 3-ECSS exceeded %d iterations", maxIters)
+	for !eng.ThreeEdgeConnected() {
+		if err := s.next(); err != nil {
+			return nil, fmt.Errorf("core: 3-ECSS %w", err)
 		}
-		iters++
 
 		// Lines 1–2: cost-effectiveness via Claim 5.8 (unit weights:
 		// ρ(e) = |Ce|), candidates at the maximum rounded value.
-		best := -(1 << 30)
-		if cover != nil {
-			refreshBuckets()
-			pool, best = bk.pool(pool[:0], candIDs)
-			sort.Ints(pool) // the legacy scan produced ascending IDs
-		} else {
-			pool = pool[:0]
-			for _, e := range g.Edges() {
-				if selected[e.ID] {
-					continue
-				}
-				ce := eng.CoverCount(e.U, e.V)
-				if ce == 0 {
-					continue
-				}
-				exp := expFor(e.ID, ce)
-				if exp > best {
-					best = exp
-					pool = pool[:0]
-				}
-				if exp == best {
-					pool = append(pool, e.ID)
-				}
-			}
-		}
+		cover.Refresh(refresh)
+		var best int
+		pool, best = bk.pool(pool[:0], candIDs)
+		sort.Ints(pool) // activation draws follow ascending edge ID
 		if len(pool) == 0 {
 			// Labels say not 3-edge-connected but no candidate covers
 			// anything: fall through to the exact correction below. The
@@ -331,78 +250,29 @@ func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, a
 		}
 		acc.Charge(chargeAggregation, 2*d)
 		res.Iterations++
-		if best < prevBest {
-			pExp = mExp
-			itersAtThisP = 0
-		}
-		prevBest = best
 
 		// Line 3: every active candidate joins the augmentation directly
 		// (no MST filter in the unweighted §5 variant).
+		picked, _ := s.activate(best, len(pool))
+		if len(picked) == 0 {
+			continue
+		}
 		added = added[:0]
-		for _, id := range pool {
-			if pExp == 0 || opts.Rng.Int63n(1<<uint(pExp)) == 0 {
-				added = append(added, id)
-			}
+		for _, i := range picked {
+			id := pool[i]
+			added = append(added, id)
+			selected[id] = true
+			// Deactivate before AddEdges so the activation's own label
+			// churn does not dirty the leaving candidates.
+			cover.Deactivate(int(candIdx[id]))
+			bk.remove(int(candIdx[id]))
 		}
-		if len(added) > 0 {
-			if cover != nil {
-				// Deactivate before AddEdges so the activation's own label
-				// churn does not dirty the leaving candidates.
-				for _, id := range added {
-					cover.Deactivate(int(candIdx[id]))
-					bk.remove(int(candIdx[id]))
-				}
-			}
-			eng.AddEdges(added)
-			for _, id := range added {
-				selected[id] = true
-				sel = append(sel, id)
-			}
-			if opts.ReferenceLabeling {
-				labelRounds, err := labelSubgraphReference(eng, simOpts)
-				if err != nil {
-					return nil, err
-				}
-				res.LabelRoundsMeasured += labelRounds
-				acc.Charge(chargeLabelScans, labelRounds)
-			} else {
-				// Dissemination of the new labels: each activated edge's
-				// label floods its tree path; pipelined along the fixed
-				// tree this is O(height + |added|) rounds.
-				acc.Charge(chargeLabelUpdates, height+int64(len(added)))
-			}
-			if opts.Rebalance && cover != nil {
-				// §5 rebalance: probe whether a BFS of G restricted to the
-				// current H ∪ A would at least halve the labeling tree, and
-				// only then rebuild the engine over it. The probe runs only
-				// while the tree is tall, so well-balanced bases never pay.
-				if curH := eng.Tree.Height(); curH > 4*logn {
-					if nh := cycles.BFSHeight(g, sel); nh >= 0 && 2*nh <= curH {
-						tr := opts.Phase.phaseStart()
-						eng.Release()
-						eng, err = cycles.NewIncremental(g, sel, bits, opts.Rng, opts.LabelArena, simOpts...)
-						if err != nil {
-							return nil, fmt.Errorf("core: rebalancing H∪A labeling: %w", err)
-						}
-						res.LabelRoundsMeasured += int64(eng.Metrics.Rounds)
-						acc.Charge(chargeRebalance, int64(eng.Metrics.Rounds))
-						height = int64(eng.Tree.Height())
-						cover = cycles.NewCoverIndex(eng, candIDs)
-						opts.Phase.emit(PhaseEvent{
-							Phase: "rebalance", Start: tr,
-							Rounds: int64(eng.Metrics.Rounds), Messages: eng.Metrics.Messages,
-							Items: eng.Tree.Height(),
-						})
-					}
-				}
-			}
-		}
-		itersAtThisP++
-		if itersAtThisP >= phaseLen*logn && pExp > 0 {
-			pExp--
-			itersAtThisP = 0
-		}
+		eng.AddEdges(added)
+		sel = append(sel, added...)
+		// Dissemination of the new labels: each activated edge's label
+		// floods its tree path; pipelined along the fixed tree this is
+		// O(height + |added|) rounds.
+		acc.Charge(chargeLabelUpdates, height+int64(len(added)))
 	}
 
 	opts.Phase.emit(PhaseEvent{
@@ -432,17 +302,6 @@ func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, a
 	res.Weight = g.WeightOf(sel)
 	res.Rounds = acc.Total()
 	return res, nil
-}
-
-// labelSubgraphReference is the retained from-scratch labeling path: a full
-// distributed label scan over the current H ∪ A (same tree, same non-tree
-// labels), measured on the simulator. See cycles.Incremental.RelabelScan.
-func labelSubgraphReference(eng *cycles.Incremental, simOpts []congest.Option) (int64, error) {
-	labelRounds, err := eng.RelabelScan(simOpts...)
-	if err != nil {
-		return 0, fmt.Errorf("core: relabeling H∪A: %w", err)
-	}
-	return labelRounds, nil
 }
 
 // correctTo3EC brings a 2-edge-connected selection the last step to

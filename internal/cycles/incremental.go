@@ -300,57 +300,6 @@ func (inc *Incremental) baseTree(base []int) (*tree.Rooted, error) {
 	return tree.FromParents(0, parent, parentEdge)
 }
 
-// BFSHeight returns the height of the BFS tree, rooted at vertex 0, of the
-// subgraph of g given by edge IDs base — the height a rebuilt labeling
-// engine over that subgraph would have — or -1 if base does not span g.
-// The 3-ECSS rebalance knob probes with this (O(n + |base|), plain
-// allocation: the probe runs at most once per iteration, and only while
-// the current tree is tall) before paying for an engine rebuild.
-func BFSHeight(g *graph.Graph, base []int) int {
-	n := g.N()
-	deg := make([]int, n)
-	for _, id := range base {
-		e := g.Edge(id)
-		deg[e.U]++
-		deg[e.V]++
-	}
-	arcs := make([]graph.Arc, 2*len(base))
-	adj := make([][]graph.Arc, n)
-	off := 0
-	for v := 0; v < n; v++ {
-		adj[v] = arcs[off : off : off+deg[v]]
-		off += deg[v]
-	}
-	for _, id := range base {
-		e := g.Edge(id)
-		adj[e.U] = append(adj[e.U], graph.Arc{To: e.V, Edge: id})
-		adj[e.V] = append(adj[e.V], graph.Arc{To: e.U, Edge: id})
-	}
-	depth := make([]int, n)
-	for v := range depth {
-		depth[v] = -1
-	}
-	depth[0] = 0
-	queue := make([]int, 1, n)
-	height := 0
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, a := range adj[v] {
-			if depth[a.To] == -1 {
-				depth[a.To] = depth[v] + 1
-				if depth[a.To] > height {
-					height = depth[a.To]
-				}
-				queue = append(queue, a.To)
-			}
-		}
-	}
-	if len(queue) != n {
-		return -1
-	}
-	return height
-}
-
 // ownedLists distributes the non-tree edges of ids to their smaller
 // endpoint (the announcing owner of the distributed scan).
 func (inc *Incremental) ownedLists(ids []int) [][]int {
@@ -520,9 +469,9 @@ func (inc *Incremental) Phi(id int) uint64 { return inc.phi[id] }
 // labels with the scan's result, rebuilds the per-label counts, and returns
 // the measured simulator rounds. Because a tree edge's label is the XOR of
 // its covering non-tree labels, the scan reproduces the incrementally
-// maintained state bit-for-bit; the solvers run it once per iteration when
-// ThreeECSSOptions.ReferenceLabeling is set, and the equivalence tests pin
-// it against AddEdges.
+// maintained state bit-for-bit. No solver calls it: the equivalence tests
+// pin AddEdges against it, and internal/core's from-scratch 3-ECSS
+// reference runs it once per iteration.
 func (inc *Incremental) RelabelScan(simOpts ...congest.Option) (int64, error) {
 	owned := inc.ownedLists(inc.activeIDs)
 	progs, metrics, err := runLabelScan(inc.G, inc.Tree, owned, func(e int) uint64 { return inc.phi[e] }, inc.active, simOpts)

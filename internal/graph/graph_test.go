@@ -577,28 +577,6 @@ func TestFatTree(t *testing.T) {
 	}
 }
 
-func TestUnionFindReset(t *testing.T) {
-	uf := NewUnionFind(6)
-	uf.Union(0, 1)
-	uf.Union(2, 3)
-	uf.Union(0, 3)
-	if uf.Sets() != 3 {
-		t.Fatalf("sets=%d, want 3", uf.Sets())
-	}
-	uf.Reset()
-	if uf.Sets() != 6 {
-		t.Fatalf("after Reset sets=%d, want 6", uf.Sets())
-	}
-	for v := 0; v < 6; v++ {
-		if uf.Find(v) != v {
-			t.Fatalf("after Reset vertex %d not a singleton", v)
-		}
-	}
-	if !uf.Union(4, 5) || uf.Same(0, 1) {
-		t.Fatal("Reset did not fully restore singleton state")
-	}
-}
-
 // TestEdgeConnectivityPooledReload interleaves connectivity queries on
 // graphs of very different sizes, which forces the pooled unit-flow scratch
 // to reload across shapes — any stale arc state would surface as a wrong λ.

@@ -52,17 +52,6 @@ func (uf *UnionFind) Union(x, y int) bool {
 	return true
 }
 
-// Reset restores the structure to n singleton sets in place, so hot loops
-// (one union-find per Aug iteration, for example) can reuse one allocation
-// instead of constructing a fresh structure every pass.
-func (uf *UnionFind) Reset() {
-	for i := range uf.parent {
-		uf.parent[i] = i
-		uf.rank[i] = 0
-	}
-	uf.sets = len(uf.parent)
-}
-
 // Same reports whether x and y are in the same set.
 func (uf *UnionFind) Same(x, y int) bool { return uf.Find(x) == uf.Find(y) }
 

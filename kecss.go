@@ -100,7 +100,6 @@ type config struct {
 	voteDenom   int64
 	labelBits   int
 	phaseLen    int
-	refLabeling bool // tests only: drive 3-ECSS through the reference label scan
 	phase       core.PhaseObserver
 }
 
@@ -215,14 +214,13 @@ func (c config) kecssOpts(env solveEnv) core.KECSSOptions {
 
 func (c config) threeOpts(env solveEnv) core.ThreeECSSOptions {
 	return core.ThreeECSSOptions{
-		Rng:               env.rng,
-		LabelBits:         c.labelBits,
-		PhaseLen:          c.phaseLen,
-		Executor:          c.executor,
-		Arena:             env.arena,
-		LabelArena:        env.labels,
-		ReferenceLabeling: c.refLabeling,
-		Phase:             c.phase,
+		Rng:        env.rng,
+		LabelBits:  c.labelBits,
+		PhaseLen:   c.phaseLen,
+		Executor:   c.executor,
+		Arena:      env.arena,
+		LabelArena: env.labels,
+		Phase:      c.phase,
 	}
 }
 

@@ -7,15 +7,6 @@ import (
 	"repro/internal/graph"
 )
 
-// withReferenceLabeling makes the 3-ECSS solvers re-run the full
-// distributed cycle-space label scan over H ∪ A on every iteration of the
-// §5 augmentation loop (the retained from-scratch path) instead of the
-// incremental engine. Results are identical either way; tests use it as
-// the oracle for the default path.
-func withReferenceLabeling() Option {
-	return func(c *config) { c.refLabeling = true }
-}
-
 func TestPublicSolve2ECSS(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.RandomKConnected(30, 2, 40, rng, graph.RandomWeights(rng, 50))
