@@ -15,7 +15,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/congest"
 	"repro/internal/cycles"
 	"repro/internal/graph"
 )
@@ -92,13 +91,10 @@ func BenchmarkMicro_IncrementalLabelUpdate(b *testing.B) {
 			cands = append(cands, g.AddEdge(u, v, 1))
 		}
 	}
-	labelArena := cycles.NewLabelArena()
-	simArena := congest.NewArena()
 	rebuilds := int64(0)
 	newEngine := func() *cycles.Incremental {
 		rebuilds++
-		inc, err := cycles.NewIncremental(g, base, 48, rand.New(rand.NewSource(rebuilds)),
-			labelArena, congest.WithArena(simArena))
+		inc, err := cycles.NewIncremental(g, base, 48, rand.New(rand.NewSource(rebuilds)))
 		if err != nil {
 			b.Fatal(err)
 		}

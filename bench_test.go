@@ -156,12 +156,6 @@ func BenchmarkMicro_SimulatorRound(b *testing.B) {
 	b.Run("flood/n=1k", func(b *testing.B) { benchSimulatorFlood(b, 1000, seq) })
 	b.Run("flood/n=4k", func(b *testing.B) { benchSimulatorFlood(b, 4000, seq) })
 	b.Run("flood-parallel/n=4k", func(b *testing.B) { benchSimulatorFlood(b, 4000, par) })
-	b.Run("flood-arena/n=1k", func(b *testing.B) {
-		benchSimulatorFlood(b, 1000, seq, congest.WithArena(congest.NewArena()))
-	})
-	b.Run("flood-arena/n=4k", func(b *testing.B) {
-		benchSimulatorFlood(b, 4000, seq, congest.WithArena(congest.NewArena()))
-	})
 }
 
 func BenchmarkMicro_CycleLabels(b *testing.B) {
@@ -210,7 +204,8 @@ func BenchmarkMicro_TAPAugment(b *testing.B) {
 
 // BenchmarkMicro_Solve2ECSSSimulated is one task of the simulated-MST 2-ECSS
 // workload: n=1600 with 3200 extra edges, Borůvka on the CONGEST simulator,
-// solved through a one-worker pool so the worker's arena stays warm.
+// solved through a one-worker pool, so the simulator's pooled arenas stay
+// warm.
 func BenchmarkMicro_Solve2ECSSSimulated(b *testing.B) {
 	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(1))

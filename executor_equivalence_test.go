@@ -10,6 +10,7 @@ package kecss
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/congest"
@@ -116,19 +117,21 @@ func TestExecutorEquivalenceSolve2ECSS(t *testing.T) {
 	}
 }
 
-// TestExecutorEquivalenceWithArena re-runs the Borůvka comparison with every
-// network of a run drawing from one shared arena, proving buffer recycling
-// does not leak state between runs or executors.
-func TestExecutorEquivalenceWithArena(t *testing.T) {
+// TestExecutorEquivalenceRecycledArenas re-runs the Borůvka comparison on
+// the simulator's recycled arenas, proving buffer recycling does not leak
+// state between runs or executors. The first run of each graph is cold: two
+// garbage collections empty the package pools before it. Every later run is
+// warm, on the arenas the runs before it returned.
+func TestExecutorEquivalenceRecycledArenas(t *testing.T) {
 	for gi, g := range equivalenceGraphs(t) {
-		arena := congest.NewArena()
+		runtime.GC()
+		runtime.GC()
 		var want *mst.Result
 		for _, tc := range executorsUnderTest() {
-			// Two runs per executor through the same arena: the second must
-			// see no trace of the first.
+			// Two runs per executor: the second must see no trace of the
+			// first.
 			for rep := 0; rep < 2; rep++ {
-				got, err := mst.DistributedBoruvka(g,
-					congest.WithExecutor(tc.exec), congest.WithArena(arena))
+				got, err := mst.DistributedBoruvka(g, congest.WithExecutor(tc.exec))
 				if err != nil {
 					t.Fatalf("graph %d %s rep %d: %v", gi, tc.name, rep, err)
 				}
@@ -137,7 +140,7 @@ func TestExecutorEquivalenceWithArena(t *testing.T) {
 					continue
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("graph %d: %s rep %d with arena diverges", gi, tc.name, rep)
+					t.Errorf("graph %d: %s rep %d on recycled arenas diverges", gi, tc.name, rep)
 				}
 			}
 		}

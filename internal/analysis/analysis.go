@@ -26,10 +26,11 @@
 //     (`go tool compile -m`), so an accidental heap escape on a hot path
 //     fails the build rather than a bench ceiling hours later.
 //   - arenacheck: enforces the ownership rules of the types marked
-//     `//kecss:arena` (NetworkArena, the cycle-space label arena) — arena
-//     values must not be re-shared into other structs or leaked into
-//     goroutine closures, and arena-derived buffers may live only in fields
-//     of types marked `//kecss:arena-owner`.
+//     `//kecss:arena` (congest.NetworkArena and cycles.Arena, which their
+//     packages recycle through sync.Pools) — arena values must not be
+//     re-shared into other structs or leaked into goroutine closures, and
+//     arena-derived buffers may live only in fields of types marked
+//     `//kecss:arena-owner` (congest.Network and cycles.Incremental).
 //
 // # Annotation conventions
 //
@@ -48,7 +49,7 @@
 //	//kecss:alloc-free           this function must compile with zero heap escapes
 //	//kecss:noescape             the allocation on this line must stay on the stack
 //	//kecss:arena                this type is an arena (arenacheck tracks its values)
-//	//kecss:arena-owner          this type legitimately holds arena-backed buffers
+//	//kecss:arena-owner          this type borrows an arena for one loan and may hold its buffers
 //	//kecss:arena-ok             this arena use is vetted (with a justification!)
 //	//kecss:lockcheck-ok         this guarded access is vetted (with a justification!)
 //

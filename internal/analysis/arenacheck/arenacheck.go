@@ -11,8 +11,7 @@
 //     type (and pointers to it) through the package.
 //   - //kecss:arena-owner marks a type whose fields may legitimately hold
 //     an arena or arena-derived buffers, because its lifetime is bounded
-//     by the arena's owner (service.Worker, congest.Network, the solver
-//     engines holding per-worker scratch).
+//     by one loan of the arena (congest.Network, cycles.Incremental).
 //
 // In every package it then reports:
 //
@@ -22,8 +21,8 @@
 //     fresh arena into a field (x.f = NewArena()) is ownership creation
 //     and always fine.
 //   - an arena value referenced inside a `go` statement — an arena moving
-//     onto another goroutine is exactly "shared across service workers";
-//     every worker must own its arena outright.
+//     onto another goroutine while borrowed is shared across goroutines;
+//     arenas change goroutines only through their package's sync.Pool.
 //   - a buffer obtained from an arena method stored into a field of a
 //     non-owner type (directly or through one local alias) — the loaned
 //     buffer would outlive its loan.
@@ -73,23 +72,10 @@ func run(pass *analysis.Pass) (any, error) {
 
 // wellKnownArenas are the repo's arena types, recognized across package
 // boundaries (a directive in package congest is invisible when analyzing
-// package service, which stores *congest.NetworkArena in its workers).
+// any other package that handles a *congest.NetworkArena).
 var wellKnownArenas = map[string]map[string]bool{
 	"repro/internal/congest": {"NetworkArena": true},
 	"repro/internal/cycles":  {"Arena": true},
-}
-
-// wellKnownOwners are cross-package owner types: the //kecss:arena-owner
-// directive on a declaration is visible only to its own package's analysis,
-// so owners whose literals are built elsewhere (the core option bags, the
-// pool worker) are mirrored here.
-var wellKnownOwners = map[string]map[string]bool{
-	"repro/internal/service": {"Worker": true},
-	"repro/internal/core": {
-		"TwoECSSOptions":   true,
-		"ThreeECSSOptions": true,
-		"KECSSOptions":     true,
-	},
 }
 
 // collectMarked resolves directive-marked type declarations of this
@@ -162,18 +148,12 @@ func (c *checker) isArena(t types.Type) bool {
 	return false
 }
 
+// isOwner reports whether t is marked //kecss:arena-owner in this package.
+// Every owner type is declared beside the arena it borrows, so no owner is
+// ever built in another package.
 func (c *checker) isOwner(t types.Type) bool {
 	n := namedOf(t)
-	if n == nil {
-		return false
-	}
-	if c.owners[n.Obj()] {
-		return true
-	}
-	if pkg := n.Obj().Pkg(); pkg != nil {
-		return wellKnownOwners[pkg.Path()][n.Obj().Name()]
-	}
-	return false
+	return n != nil && c.owners[n.Obj()]
 }
 
 func (c *checker) checkFunc(body *ast.BlockStmt) {

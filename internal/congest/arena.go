@@ -1,33 +1,36 @@
 package congest
 
-import "repro/internal/graph"
+import (
+	"sync"
 
-// NetworkArena recycles a Network's internal buffers across repeated
-// NewNetwork calls. Experiment sweeps and multi-phase algorithms build
-// hundreds of networks over same-sized graphs; with an arena, each
-// construction reuses the previous network's contexts, inboxes, neighbour
-// tables and message slots instead of re-allocating them.
+	"repro/internal/graph"
+)
+
+// NetworkArena holds a Network's internal buffers between networks.
+// NewNetwork takes an idle arena from arenaPool and Run puts it back, so
+// consecutive networks reuse each other's contexts, inboxes, neighbour
+// tables and message slots instead of re-allocating them. No caller sees an
+// arena: the pool is the package's only source of network buffers.
 //
 // The arena also remembers which graph its topology (port index, neighbour
 // tables, nbrPort) was built for, keyed on the graph's identity
 // and edge count; AddEdge is the only way to change a graph, so the key
 // cannot go stale. A multi-phase algorithm that builds many networks over
-// one graph therefore builds the topology once: later networks over the same
-// graph only rebind the contexts, empty the out-lists and inboxes and clear
-// the done flags, in O(n).
+// one graph therefore builds the topology once, as long as its goroutine
+// gets the same arena back: later networks over the same graph only rebind
+// the contexts, empty the out-lists and inboxes and clear the done flags,
+// in O(n).
 //
 // Ownership rules:
 //
-//   - At most one live network may borrow an arena's buffers at a time.
-//     NewNetwork(WithArena(a)) borrows them if they are free, and silently
-//     falls back to fresh allocation if they are not — so nesting is safe,
-//     just not accelerated.
+//   - At most one live network borrows an arena at a time; busy marks the
+//     loan. The pool hands an arena to one goroutine at a time.
 //   - Run returns the buffers when it finishes (success or error). Reading
 //     results (Program, Metrics, Graph) stays valid afterwards; calling
-//     Step on the finished network panics.
-//   - An arena is not safe for concurrent use. Use one arena per goroutine.
-//   - An arena pins the last graph it indexed (and that graph's last
-//     network) until it builds a topology for another graph.
+//     Step on the finished network panics. A network that is never Run
+//     keeps its arena, which the garbage collector then reclaims.
+//   - An idle arena pins the last graph it indexed until it builds a
+//     topology for another graph or the pool drops it.
 //
 // The round stamp is carried across networks (see sentStamp in the package
 // documentation): recycled stamp buffers never need re-zeroing because a new
@@ -52,6 +55,7 @@ type NetworkArena struct {
 	nbrPort    map[int64]int32
 	stamp      uint32
 	busy       bool
+	pooled     bool
 
 	// indexed and indexedM identify the graph the topology above was built
 	// for; nil until the first build.
@@ -59,17 +63,9 @@ type NetworkArena struct {
 	indexedM int
 }
 
-// NewArena returns an empty arena. Buffers are allocated lazily, sized by
-// the largest graph simulated through it.
-func NewArena() *NetworkArena { return &NetworkArena{} }
-
-// WithDefaultArena returns opts prefixed with a fresh-arena option: the
-// standard pattern for a function that runs several consecutive networks and
-// wants them to share buffers by default. Because options apply in order, a
-// caller-supplied WithArena later in opts still wins.
-func WithDefaultArena(opts []Option) []Option {
-	return append([]Option{WithArena(NewArena())}, opts...)
-}
+// arenaPool holds the idle arenas. Only arenas it created go back to it:
+// pooled tells them apart from the one an in-package test pins.
+var arenaPool = sync.Pool{New: func() any { return &NetworkArena{pooled: true} }}
 
 // acquire returns the starting round stamp for a network over g with ports
 // ports and whether the arena's topology is still the one built for g. If it

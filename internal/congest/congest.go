@@ -48,14 +48,13 @@
 //     send, so walking the ascending step list visits every sender.
 //
 //   - Buffer reuse. Every buffer above is sized by n and the port count and
-//     carved out of a handful of flat allocations. A NetworkArena recycles
-//     them across repeated NewNetwork calls (see arena.go), so repetition
-//     sweeps construct networks without re-allocating contexts, inboxes or
-//     neighbour tables. The arena also builds the topology (port index,
-//     neighbour tables, nbrPort) once per graph, keyed on the
-//     graph's identity and edge count: a multi-phase algorithm that builds
-//     many networks over one graph pays O(n + m) for the first and O(n) for
-//     each later one.
+//     lives in a NetworkArena (see arena.go). NewNetwork takes an idle arena
+//     from a package sync.Pool and Run puts it back, so consecutive networks
+//     reuse contexts, inboxes and neighbour tables without re-allocating
+//     them. The arena also builds the topology (port index, neighbour
+//     tables, nbrPort) once per graph, keyed on the graph's identity and
+//     edge count: a multi-phase algorithm that builds many networks over
+//     one graph pays O(n + m) for the first and O(n) for each later one.
 //
 // Executors (see executor.go) decide how a round's per-node Round calls run:
 // sequentially (SequentialExecutor) or on a persistent work-stealing worker

@@ -200,10 +200,16 @@ func (s *tripleSender) Init(ctx *Context) {
 }
 func (s *tripleSender) Round(*Context, []Message) bool { return true }
 
+// withArena pins a: the network borrows it if it is idle, and an arena of
+// arenaPool otherwise. An arena the test makes never enters the pool.
+func withArena(a *NetworkArena) Option {
+	return func(c *config) { c.arena = a }
+}
+
 // TestArenaReuse runs simulations of different shapes and sizes through one
-// arena and checks each against an arena-free reference run.
+// arena and checks each against a reference run on a fresh arena.
 func TestArenaReuse(t *testing.T) {
-	arena := NewArena()
+	arena := new(NetworkArena)
 	graphs := []*graph.Graph{
 		graph.Cycle(10, graph.UnitWeights()),
 		graph.Grid(4, 12, graph.UnitWeights()),
@@ -211,12 +217,12 @@ func TestArenaReuse(t *testing.T) {
 	}
 	for rep := 0; rep < 3; rep++ {
 		for gi, g := range graphs {
-			fresh := NewNetwork(g, func(int) Program { return &floodProgram{} })
+			fresh := NewNetwork(g, func(int) Program { return &floodProgram{} }, withArena(new(NetworkArena)))
 			wantM, err := fresh.Run(100)
 			if err != nil {
 				t.Fatal(err)
 			}
-			reused := NewNetwork(g, func(int) Program { return &floodProgram{} }, WithArena(arena))
+			reused := NewNetwork(g, func(int) Program { return &floodProgram{} }, withArena(arena))
 			gotM, err := reused.Run(100)
 			if err != nil {
 				t.Fatalf("rep %d graph %d: %v", rep, gi, err)
@@ -238,11 +244,11 @@ func TestArenaReuse(t *testing.T) {
 // reuses the full backing: stale stamps beyond the shrunken view must not
 // survive the reset and read as "port already used".
 func TestArenaStampResetClearsFullBacking(t *testing.T) {
-	arena := NewArena()
+	arena := new(NetworkArena)
 	big := graph.Cycle(64, graph.UnitWeights())
 	small := graph.Cycle(8, graph.UnitWeights())
 	run := func(a *NetworkArena, g *graph.Graph, p func() Program) Metrics {
-		net := NewNetwork(g, func(int) Program { return p() }, WithArena(a))
+		net := NewNetwork(g, func(int) Program { return p() }, withArena(a))
 		m, err := net.Run(200)
 		if err != nil {
 			t.Fatal(err)
@@ -259,7 +265,7 @@ func TestArenaStampResetClearsFullBacking(t *testing.T) {
 	run(arena, small, countdown)
 	arena.stamp = 1 << 31 // force the headroom reset on the next acquire
 	got := run(arena, big, delayed)
-	want := run(NewArena(), big, delayed)
+	want := run(new(NetworkArena), big, delayed)
 	if got != want {
 		t.Errorf("big graph after stamp reset: metrics %+v, want %+v", got, want)
 	}
@@ -289,12 +295,12 @@ func (d *delayedBroadcaster) Round(ctx *Context, _ []Message) bool {
 	return d.wait <= 0
 }
 
-// TestArenaStepAfterRunPanics pins the ownership rule: once Run returns an
-// arena-backed network's buffers, stepping it again must fail loudly rather
-// than corrupt a successor network.
+// TestArenaStepAfterRunPanics pins the ownership rule: once Run returns a
+// network's buffers, stepping it again must fail loudly rather than corrupt
+// a successor network.
 func TestArenaStepAfterRunPanics(t *testing.T) {
 	g := graph.Cycle(4, graph.UnitWeights())
-	net := NewNetwork(g, func(int) Program { return oneShot{} }, WithArena(NewArena()))
+	net := NewNetwork(g, func(int) Program { return oneShot{} })
 	if _, err := net.Run(10); err != nil {
 		t.Fatal(err)
 	}
@@ -306,13 +312,16 @@ func TestArenaStepAfterRunPanics(t *testing.T) {
 	net.Step()
 }
 
-// TestArenaNestedFallsBack checks that a second network built from a busy
-// arena silently gets fresh buffers instead of corrupting the first.
+// TestArenaNestedFallsBack checks that a second network pinned to a busy
+// arena gets a pooled one instead of corrupting the first.
 func TestArenaNestedFallsBack(t *testing.T) {
 	g := graph.Cycle(8, graph.UnitWeights())
-	arena := NewArena()
-	outer := NewNetwork(g, func(int) Program { return &floodProgram{} }, WithArena(arena))
-	inner := NewNetwork(g, func(int) Program { return &floodProgram{} }, WithArena(arena))
+	arena := new(NetworkArena)
+	outer := NewNetwork(g, func(int) Program { return &floodProgram{} }, withArena(arena))
+	inner := NewNetwork(g, func(int) Program { return &floodProgram{} }, withArena(arena))
+	if inner.arena == arena || !inner.arena.pooled {
+		t.Fatal("nested network did not take a pooled arena")
+	}
 	im, err := inner.Run(100)
 	if err != nil {
 		t.Fatal(err)
@@ -355,19 +364,18 @@ func (p *logProgram) Round(ctx *Context, inbox []Message) bool {
 	return p.left == 0
 }
 
-// runLogged runs logProgram on g (through arena a, or on fresh buffers if a
+// runLogged runs logProgram on g (through arena a, or on a fresh arena if a
 // is nil) and returns the metrics and every node's final program state.
-func runLogged(t *testing.T, g *graph.Graph, a *NetworkArena) (Metrics, []*logProgram) {
+func runLogged(t *testing.T, g *graph.Graph, a *NetworkArena, opts ...Option) (Metrics, []*logProgram) {
 	t.Helper()
-	progs := make([]*logProgram, g.N())
-	var opts []Option
-	if a != nil {
-		opts = append(opts, WithArena(a))
+	if a == nil {
+		a = new(NetworkArena)
 	}
+	progs := make([]*logProgram, g.N())
 	net := NewNetwork(g, func(v int) Program {
 		progs[v] = &logProgram{}
 		return progs[v]
-	}, opts...)
+	}, append(opts, withArena(a))...)
 	m, err := net.Run(100)
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +395,7 @@ func TestArenaTopologyAlternatingGraphs(t *testing.T) {
 	g2.AddEdge(1, 7, 1)
 	g2.AddEdge(2, 5, 1)
 	g2.AddEdge(4, 11, 1)
-	arena := NewArena()
+	arena := new(NetworkArena)
 	for i, g := range []*graph.Graph{g1, g1, g2, g2, g1, g2, g1} {
 		wantM, want := runLogged(t, g, nil)
 		gotM, got := runLogged(t, g, arena)
@@ -406,9 +414,9 @@ func TestArenaTopologyAlternatingGraphs(t *testing.T) {
 func TestArenaTopologyBuiltOncePerGraph(t *testing.T) {
 	g := graph.Cycle(6, graph.UnitWeights())
 	other := graph.Cycle(6, graph.UnitWeights())
-	arena := NewArena()
+	arena := new(NetworkArena)
 	firstWeight := func(g *graph.Graph) int64 {
-		net := NewNetwork(g, func(int) Program { return oneShot{} }, WithArena(arena))
+		net := NewNetwork(g, func(int) Program { return oneShot{} }, withArena(arena))
 		w := net.ctxs[0].Neighbors()[0].Weight
 		if _, err := net.Run(10); err != nil {
 			t.Fatal(err)
@@ -430,7 +438,7 @@ func TestArenaTopologyBuiltOncePerGraph(t *testing.T) {
 // Send.
 func TestArenaTopologyRebuildsAfterAddEdge(t *testing.T) {
 	g := graph.Cycle(6, graph.UnitWeights())
-	arena := NewArena()
+	arena := new(NetworkArena)
 	runLogged(t, g, arena)
 	e := g.AddEdge(0, 3, 1)
 	var got []Message
@@ -439,7 +447,7 @@ func TestArenaTopologyRebuildsAfterAddEdge(t *testing.T) {
 			return edgeSender{edge: e}
 		}
 		return sink{out: &got}
-	}, WithArena(arena))
+	}, withArena(arena))
 	if _, err := net.Run(10); err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +484,7 @@ func TestArenaTopologyReuseSendToParallelEdges(t *testing.T) {
 	e0 := g.AddEdge(0, 1, 1)
 	e1 := g.AddEdge(0, 1, 1)
 	e2 := g.AddEdge(0, 1, 1)
-	arena := NewArena()
+	arena := new(NetworkArena)
 	for rep := 0; rep < 3; rep++ {
 		var got []Message
 		net := NewNetwork(g, func(v int) Program {
@@ -484,7 +492,7 @@ func TestArenaTopologyReuseSendToParallelEdges(t *testing.T) {
 				return &tripleSender{}
 			}
 			return &captor{target: 0, out: &got, me: v}
-		}, WithArena(arena))
+		}, withArena(arena))
 		if _, err := net.Run(10); err != nil {
 			t.Fatal(err)
 		}
@@ -502,20 +510,7 @@ func TestArenaTopologyReuseSendToParallelEdges(t *testing.T) {
 // runActive is runLogged on the network over g restricted to active.
 func runActive(t *testing.T, g *graph.Graph, active []bool, a *NetworkArena) (Metrics, []*logProgram) {
 	t.Helper()
-	progs := make([]*logProgram, g.N())
-	opts := []Option{WithActiveEdges(active)}
-	if a != nil {
-		opts = append(opts, WithArena(a))
-	}
-	net := NewNetwork(g, func(v int) Program {
-		progs[v] = &logProgram{}
-		return progs[v]
-	}, opts...)
-	m, err := net.Run(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, progs
+	return runLogged(t, g, a, WithActiveEdges(active))
 }
 
 // TestActiveEdgesMatchSubgraph runs logProgram on a graph restricted to some
@@ -546,7 +541,7 @@ func TestActiveEdgesMatchSubgraph(t *testing.T) {
 		}
 	}
 	fullM, full := runLogged(t, g, nil)
-	arena := NewArena()
+	arena := new(NetworkArena)
 	for i, restricted := range []bool{true, false, true, true, false} {
 		if !restricted {
 			gotM, got := runLogged(t, g, arena)
@@ -581,7 +576,7 @@ func TestActiveEdgesMatchSubgraph(t *testing.T) {
 // the network that last borrowed it, so that network's programs and their
 // state can be collected while the arena waits for its next borrower.
 func TestArenaReleaseDropsNetwork(t *testing.T) {
-	arena := NewArena()
+	arena := new(NetworkArena)
 	runLogged(t, graph.Cycle(6, graph.UnitWeights()), arena)
 	for v, ctx := range arena.ctxs {
 		if ctx.net != nil {

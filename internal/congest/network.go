@@ -37,8 +37,8 @@ type Network struct {
 	step []int32
 	wake []uint64
 
-	// Flat buffers, carved per node by portStart. All are either freshly
-	// allocated or borrowed from a NetworkArena.
+	// Flat buffers, carved per node by portStart, all borrowed from a
+	// NetworkArena.
 	slots      []Message  // one message slot per port, indexed by global port
 	inboxArena []Message  // per-port inbox backing, partitioned by receiver degree
 	neighbors  []Neighbor // per port, partitioned by node
@@ -60,12 +60,13 @@ type Network struct {
 	roundFn  func(i int) // per-round executor callback, built once
 	stamp    uint32      // current round stamp (strictly increasing)
 	metrics  Metrics
-	arena    *NetworkArena // non-nil if buffers are borrowed
+	arena    *NetworkArena // lends the buffers above
 	released bool          // arena buffers returned; stepping is an error
 }
 
 // config collects option state before buffers are allocated; it exists only
-// inside NewNetwork, before the arena loan is even taken.
+// inside NewNetwork, before the arena loan is even taken. arena, set only by
+// the package tests, is the arena to borrow if it is idle.
 //
 //kecss:arena-owner
 type config struct {
@@ -80,13 +81,6 @@ type Option func(*config)
 // WithExecutor selects the round executor. Default: SequentialExecutor.
 func WithExecutor(e Executor) Option {
 	return func(c *config) { c.exec = e }
-}
-
-// WithArena makes the network borrow its buffers from a, avoiding
-// re-allocation across repeated NewNetwork calls. See NetworkArena for the
-// ownership rules.
-func WithArena(a *NetworkArena) Option {
-	return func(c *config) { c.arena = a }
 }
 
 // WithActiveEdges restricts the network to the edges e of g with active[e]
@@ -135,13 +129,12 @@ func NewNetwork(g *graph.Graph, factory Factory, opts ...Option) *Network {
 	return n
 }
 
-// attachBuffers points the network's flat buffers at freshly allocated or
-// arena-recycled memory and fixes the starting round stamp. It reports
-// whether the buffers already hold the topology of n.g (an arena's last
-// graph), in which case only rebindTopology is needed.
+// attachBuffers borrows the network's flat buffers from a, or from an
+// arena of arenaPool if a is nil or busy, and fixes the starting round
+// stamp. It reports whether the buffers already hold the topology of n.g
+// (the arena's last graph), in which case only rebindTopology is needed.
 func (n *Network) attachBuffers(a *NetworkArena) (indexed bool) {
-	nv, m := n.g.N(), n.g.M()
-	p2 := 2 * m
+	p2 := 2 * n.g.M()
 	if n.active != nil {
 		p2 = 0
 		for _, on := range n.active {
@@ -150,37 +143,21 @@ func (n *Network) attachBuffers(a *NetworkArena) (indexed bool) {
 			}
 		}
 	}
-	if a != nil && !a.busy {
-		a.busy = true
-		n.arena = a
-		n.stamp, indexed = a.acquire(n.g, p2, n.active != nil)
-		n.slots, n.inboxArena = a.slots, a.inboxArena
-		n.neighbors, n.sentStamp = a.neighbors, a.sentStamp
-		n.outBack, n.nextSame = a.outBack, a.nextSame
-		n.portStart, n.portAtU, n.portAtV = a.portStart, a.portAtU, a.portAtV
-		n.ctxs, n.done, n.inboxes = a.ctxs, a.done, a.inboxes
-		n.step, n.wake = a.step, a.wake
-		n.nbrPort = a.nbrPort
-		n.resetStep()
-		return indexed
+	if a == nil || a.busy {
+		a = arenaPool.Get().(*NetworkArena)
 	}
-	n.stamp = 1
-	n.slots = make([]Message, p2)
-	n.inboxArena = make([]Message, p2)
-	n.neighbors = make([]Neighbor, p2)
-	n.sentStamp = make([]uint32, p2)
-	i32 := make([]int32, 2*p2+2*m)
-	n.outBack, n.nextSame = i32[:p2:p2], i32[p2:2*p2:2*p2]
-	n.portAtU, n.portAtV = i32[2*p2:2*p2+m:2*p2+m], i32[2*p2+m:]
-	n.portStart = make([]int32, nv+1)
-	n.ctxs = make([]Context, nv)
-	n.done = make([]bool, nv)
-	n.inboxes = make([][]Message, nv)
-	n.step = make([]int32, nv)
-	n.wake = make([]uint64, wakeWords(nv))
-	n.nbrPort = make(map[int64]int32, p2)
+	a.busy = true
+	n.arena = a
+	n.stamp, indexed = a.acquire(n.g, p2, n.active != nil)
+	n.slots, n.inboxArena = a.slots, a.inboxArena
+	n.neighbors, n.sentStamp = a.neighbors, a.sentStamp
+	n.outBack, n.nextSame = a.outBack, a.nextSame
+	n.portStart, n.portAtU, n.portAtV = a.portStart, a.portAtU, a.portAtV
+	n.ctxs, n.done, n.inboxes = a.ctxs, a.done, a.inboxes
+	n.step, n.wake = a.step, a.wake
+	n.nbrPort = a.nbrPort
 	n.resetStep()
-	return false
+	return indexed
 }
 
 // wakeWords is the length of the wake bitset over nv nodes.
@@ -337,8 +314,8 @@ func (n *Network) deliver() {
 	n.metrics.Bits += delivered * int64(Payload{}.Bits())
 	n.stamp++
 	if n.stamp == 0 { // uint32 wraparound after ~4·10⁹ rounds
-		// Clear the full backing, not just the current view: arena-borrowed
-		// buffers may be larger than 2m, and a stale tail would outlive the
+		// Clear the full backing, not just the current view: a recycled
+		// buffer may be larger than 2m, and a stale tail would outlive the
 		// restarted counter (same invariant as the arena's headroom reset).
 		clear(n.sentStamp[:cap(n.sentStamp)])
 		n.stamp = 1
@@ -387,9 +364,9 @@ func (n *Network) Step() bool {
 // repository always indicates a non-terminating algorithm bug or an
 // insufficient budget, never a legitimate outcome.
 //
-// When the network was built with WithArena, Run returns the borrowed
-// buffers to the arena before returning: final program state (Program),
-// Metrics and Graph remain readable, but further Step calls panic.
+// Run returns the borrowed buffers to their arena before returning: final
+// program state (Program), Metrics and Graph remain readable, but further
+// Step calls panic.
 func (n *Network) Run(maxRounds int) (Metrics, error) {
 	defer n.release()
 	for r := 0; r < maxRounds; r++ {
@@ -400,11 +377,11 @@ func (n *Network) Run(maxRounds int) (Metrics, error) {
 	return n.metrics, fmt.Errorf("congest: no quiescence within %d rounds", maxRounds)
 }
 
-// release returns arena-borrowed buffers. Idempotent; no-op for networks
-// with privately owned buffers.
+// release returns the borrowed buffers to the arena, and the arena to
+// arenaPool if it came from there. Idempotent.
 func (n *Network) release() {
 	a := n.arena
-	if a == nil || n.released {
+	if n.released {
 		return
 	}
 	n.released = true
@@ -415,6 +392,9 @@ func (n *Network) release() {
 	}
 	a.stamp = n.stamp
 	a.busy = false
+	if a.pooled {
+		arenaPool.Put(a)
+	}
 }
 
 // Metrics returns the metrics accumulated so far.

@@ -269,7 +269,7 @@ func goldenRuns(t *testing.T, g *graph.Graph) map[string]string {
 		out["labels/"+ex.name] = h.line(lab.Metrics)
 
 		h = outHash{}
-		inc, err := cycles.NewIncremental(g, base, 48, rand.New(rand.NewSource(8)), nil, opt)
+		inc, err := cycles.NewIncremental(g, base, 48, rand.New(rand.NewSource(8)), opt)
 		must(err)
 		inc.AddEdges(later)
 		rounds, err := inc.RelabelScan(opt)

@@ -7,15 +7,9 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/graph"
-	"repro/internal/mst"
-	"repro/internal/rounds"
 )
 
 // KECSSOptions configures the weighted k-ECSS solver (§4, Theorem 1.2).
-// The option value (and the arena it may carry) lives for one Solve call
-// on the caller's goroutine.
-//
-//kecss:arena-owner
 type KECSSOptions struct {
 	// Rng drives all randomness. Required.
 	Rng *rand.Rand
@@ -28,9 +22,6 @@ type KECSSOptions struct {
 	SimulateMST bool
 	// Executor selects the simulator executor when SimulateMST is set.
 	Executor congest.Executor
-	// Arena, if set, supplies reusable simulation buffers (for repetition
-	// sweeps that solve many same-sized instances).
-	Arena *congest.NetworkArena
 	// Phase, if set, receives a PhaseEvent per completed solver phase
 	// (validate, mst, then cut-enum/augment per level, audit for k >= 4).
 	// Nil costs nothing.
@@ -91,29 +82,11 @@ func SolveKECSS(g *graph.Graph, k int, opts KECSSOptions) (*KECSSResult, error) 
 
 	// Level 1: MST.
 	t0 = opts.Phase.phaseStart()
-	var h []int
-	var level1 LevelSummary
-	var mstMessages int64
-	if opts.SimulateMST {
-		var simOpts []congest.Option
-		if opts.Executor != nil {
-			simOpts = append(simOpts, congest.WithExecutor(opts.Executor))
-		}
-		if opts.Arena != nil {
-			simOpts = append(simOpts, congest.WithArena(opts.Arena))
-		}
-		mres, err := mst.DistributedBoruvka(g, simOpts...)
-		if err != nil {
-			return nil, fmt.Errorf("core: distributed MST: %w", err)
-		}
-		h, level1.Weight = mres.EdgeIDs, mres.Weight
-		level1.Rounds = int64(mres.Metrics.Rounds)
-		mstMessages = mres.Metrics.Messages
-	} else {
-		h, level1.Weight = mst.Kruskal(g)
-		level1.Rounds = rounds.MSTKuttenPeleg(g.N(), g.DiameterEstimate())
+	h, weight, mstRounds, mstMessages, err := computeMST(g, opts.SimulateMST, opts.Executor)
+	if err != nil {
+		return nil, err
 	}
-	level1.Added = len(h)
+	level1 := LevelSummary{Added: len(h), Weight: weight, Rounds: mstRounds}
 	opts.Phase.emit(PhaseEvent{
 		Phase: "mst", Level: 1, Start: t0,
 		Rounds: level1.Rounds, Messages: mstMessages, Items: level1.Added,

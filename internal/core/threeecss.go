@@ -13,10 +13,6 @@ import (
 )
 
 // ThreeECSSOptions configures the unweighted 3-ECSS solver (§5, Theorem 1.3).
-// The option value (and the arenas it may carry) lives for one Solve call
-// on the caller's goroutine.
-//
-//kecss:arena-owner
 type ThreeECSSOptions struct {
 	// Rng drives label sampling and candidate activation. Required.
 	Rng *rand.Rand
@@ -31,13 +27,6 @@ type ThreeECSSOptions struct {
 	PhaseLen int
 	// Executor selects the simulator executor for the base label scan.
 	Executor congest.Executor
-	// Arena supplies reusable simulation buffers for the base label scan.
-	// Defaults to a fresh arena per solve.
-	Arena *congest.NetworkArena
-	// LabelArena supplies reusable scratch for the incremental labeling
-	// engine (cycles.Arena ownership rules apply: one live engine at a
-	// time, one arena per goroutine). Defaults to unpooled scratch.
-	LabelArena *cycles.Arena
 	// Phase, if set, receives a PhaseEvent per completed phase (validate,
 	// base, base-label, augment, correction). Nil costs nothing.
 	Phase PhaseObserver
@@ -164,16 +153,11 @@ func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, a
 	if opts.Executor != nil {
 		simOpts = append(simOpts, congest.WithExecutor(opts.Executor))
 	}
-	// The base label scan runs one short-lived network over g.
-	simOpts = congest.WithDefaultArena(simOpts)
-	if opts.Arena != nil {
-		simOpts = append(simOpts, congest.WithArena(opts.Arena))
-	}
 	d := int64(g.DiameterEstimate())
 	res := &ThreeECSSResult{BaseSize: len(h)}
 
 	t0 := opts.Phase.phaseStart()
-	eng, err := cycles.NewIncremental(g, h, bits, opts.Rng, opts.LabelArena, simOpts...)
+	eng, err := cycles.NewIncremental(g, h, bits, opts.Rng, simOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("core: labeling base H: %w", err)
 	}

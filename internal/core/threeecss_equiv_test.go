@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -53,7 +54,7 @@ func solve3ECSSReference(g *graph.Graph, weighted bool, rng *rand.Rand) (*ThreeE
 			return nil, err
 		}
 	}
-	eng, err := cycles.NewIncremental(g, h, 48, rng, nil)
+	eng, err := cycles.NewIncremental(g, h, 48, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -162,26 +163,26 @@ func TestSolve3ECSSLabelingEquivalenceCorpus(t *testing.T) {
 	}
 }
 
-// TestSolve3ECSSArenaEquivalence: pooled label + simulation arenas must not
-// change any result, and consecutive solves recycling one arena pair must
-// not leak state into each other.
+// TestSolve3ECSSArenaEquivalence: recycled label and simulation arenas must
+// not change any result. Every instance is solved cold, after two garbage
+// collections have emptied the package pools, and then warm: twice more,
+// first on the arenas another graph's solve returned, then on the ones its
+// own solve returned.
 func TestSolve3ECSSArenaEquivalence(t *testing.T) {
-	la := cycles.NewLabelArena()
-	na := congest.NewArena()
-	for _, tc := range equivCorpus()[:4] {
-		g := tc.build()
-		want, err := Solve3ECSSUnweighted(g, ThreeECSSOptions{Rng: rand.New(rand.NewSource(7))})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		got, err := Solve3ECSSUnweighted(g, ThreeECSSOptions{
-			Rng: rand.New(rand.NewSource(7)), Arena: na, LabelArena: la,
-		})
-		if err != nil {
-			t.Fatalf("%s pooled: %v", tc.name, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: pooled arenas changed the result", tc.name)
+	corpus := equivCorpus()[:4]
+	graphs := make([]*graph.Graph, len(corpus))
+	cold := make([]*ThreeECSSResult, len(corpus))
+	for i, tc := range corpus {
+		graphs[i] = tc.build()
+		runtime.GC()
+		runtime.GC()
+		cold[i] = solve3(t, graphs[i], false, 7, false)
+	}
+	for i, tc := range corpus {
+		for rep := 0; rep < 2; rep++ {
+			if warm := solve3(t, graphs[i], false, 7, false); !reflect.DeepEqual(cold[i], warm) {
+				t.Fatalf("%s rep %d: recycled arenas changed the result", tc.name, rep)
+			}
 		}
 	}
 }

@@ -14,10 +14,6 @@ import (
 )
 
 // TwoECSSOptions configures the weighted 2-ECSS solver (§3, Theorem 1.1).
-// The option value (and the arena it may carry) lives for one Solve call
-// on the caller's goroutine.
-//
-//kecss:arena-owner
 type TwoECSSOptions struct {
 	// Rng drives the TAP voting. Required.
 	Rng *rand.Rand
@@ -28,9 +24,6 @@ type TwoECSSOptions struct {
 	SimulateMST bool
 	// Executor selects the simulator executor when SimulateMST is set.
 	Executor congest.Executor
-	// Arena, if set, supplies reusable simulation buffers (for repetition
-	// sweeps that solve many same-sized instances).
-	Arena *congest.NetworkArena
 	// Phase, if set, receives a PhaseEvent per completed phase (mst, tap).
 	// Nil costs nothing.
 	Phase PhaseObserver
@@ -65,30 +58,10 @@ func Solve2ECSS(g *graph.Graph, opts TwoECSSOptions) (*TwoECSSResult, error) {
 	if g.N() < 2 {
 		return nil, fmt.Errorf("core: need at least 2 vertices")
 	}
-	var (
-		mstIDs      []int
-		mstWeight   int64
-		mstRounds   int64
-		mstMessages int64
-	)
 	t0 := opts.Phase.phaseStart()
-	if opts.SimulateMST {
-		var simOpts []congest.Option
-		if opts.Executor != nil {
-			simOpts = append(simOpts, congest.WithExecutor(opts.Executor))
-		}
-		if opts.Arena != nil {
-			simOpts = append(simOpts, congest.WithArena(opts.Arena))
-		}
-		mres, err := mst.DistributedBoruvka(g, simOpts...)
-		if err != nil {
-			return nil, fmt.Errorf("core: distributed MST: %w", err)
-		}
-		mstIDs, mstWeight, mstRounds = mres.EdgeIDs, mres.Weight, int64(mres.Metrics.Rounds)
-		mstMessages = mres.Metrics.Messages
-	} else {
-		mstIDs, mstWeight = mst.Kruskal(g)
-		mstRounds = rounds.MSTKuttenPeleg(g.N(), g.DiameterEstimate())
+	mstIDs, mstWeight, mstRounds, mstMessages, err := computeMST(g, opts.SimulateMST, opts.Executor)
+	if err != nil {
+		return nil, err
 	}
 	opts.Phase.emit(PhaseEvent{
 		Phase: "mst", Start: t0,
@@ -120,4 +93,23 @@ func Solve2ECSS(g *graph.Graph, opts TwoECSSOptions) (*TwoECSSResult, error) {
 		TAP:        tres,
 		TreeHeight: tr.Height(),
 	}, nil
+}
+
+// computeMST returns the edge IDs, weight, rounds and messages of an MST of
+// g: with simulate, the message-passing Borůvka on the CONGEST simulator
+// (measured rounds), otherwise Kruskal charged the Kutten–Peleg bound.
+func computeMST(g *graph.Graph, simulate bool, exec congest.Executor) (ids []int, weight, nRounds, messages int64, err error) {
+	if !simulate {
+		ids, weight = mst.Kruskal(g)
+		return ids, weight, rounds.MSTKuttenPeleg(g.N(), g.DiameterEstimate()), 0, nil
+	}
+	var simOpts []congest.Option
+	if exec != nil {
+		simOpts = append(simOpts, congest.WithExecutor(exec))
+	}
+	res, err := mst.DistributedBoruvka(g, simOpts...)
+	if err != nil {
+		return nil, 0, 0, 0, fmt.Errorf("core: distributed MST: %w", err)
+	}
+	return res.EdgeIDs, res.Weight, int64(res.Metrics.Rounds), res.Metrics.Messages, nil
 }

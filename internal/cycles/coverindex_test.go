@@ -23,7 +23,7 @@ func TestCoverIndexMatchesCoverCount(t *testing.T) {
 		{60, 80, 48, 5},
 	} {
 		g, base, cands := spanning2EC(tc.n, tc.extra, tc.seed)
-		inc, err := NewIncremental(g, base, tc.bits, rand.New(rand.NewSource(tc.seed*31)), nil)
+		inc, err := NewIncremental(g, base, tc.bits, rand.New(rand.NewSource(tc.seed*31)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestCoverIndexMatchesCoverCount(t *testing.T) {
 // with a pointed message.
 func TestCoverIndexDirtySetIsSound(t *testing.T) {
 	g, base, cands := spanning2EC(30, 50, 11)
-	inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(13)), nil)
+	inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(13)))
 	if err != nil {
 		t.Fatal(err)
 	}

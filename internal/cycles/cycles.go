@@ -23,7 +23,9 @@
 //     O(|added|·height) — no re-labeling of the whole subgraph. The
 //     per-label counts n_φ and the Claim 5.10 termination predicate are
 //     maintained under every update, so CoverCount and ThreeEdgeConnected
-//     stay O(height) and O(1). See incremental.go for the engine's contract
+//     stay O(height) and O(1). Engines recycle their per-edge tables
+//     through a package sync.Pool of Arenas: NewIncremental takes one and
+//     Release returns it. See incremental.go for the engine's contract
 //     (what the counts cover, the from-scratch reference scan, and the
 //     Arena ownership rules).
 //

@@ -3,28 +3,28 @@ package cycles
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/tree"
 )
 
-// Arena recycles an Incremental engine's scratch across repeated
-// NewIncremental calls, in the style of congest.NetworkArena: the 3-ECSS
-// solvers build one engine per solve, and pool workers / experiment sweeps
-// run thousands of solves over same-sized graphs, so the per-edge label and
-// activation tables and the per-label count maps are worth reusing.
+// Arena holds an Incremental engine's scratch between engines, in the
+// style of congest.NetworkArena: the 3-ECSS solvers build one engine per
+// solve, and pools and experiment sweeps run thousands of solves over
+// same-sized graphs, so the per-edge label and activation tables and the
+// per-label count maps are worth reusing. NewIncremental takes an idle arena
+// from arenaPool and Release puts it back; no caller sees an arena.
 //
 // Ownership rules (mirroring congest.NetworkArena):
 //
-//   - At most one live engine may borrow an arena's buffers at a time.
-//     NewIncremental borrows them if they are free and silently falls back
-//     to fresh allocation if they are not — nesting is safe, just not
-//     accelerated.
+//   - At most one live engine borrows an arena at a time; busy marks the
+//     loan. The pool hands an arena to one goroutine at a time.
 //   - Release returns the buffers; the engine must not be used afterwards
-//     (the next NewIncremental on the arena will overwrite them).
-//   - An arena is not safe for concurrent use. Use one arena per goroutine
-//     (pool workers each own one, next to their simulation arena).
+//     (the next engine to borrow the arena will overwrite them). An engine
+//     that is never released keeps its arena, which the garbage collector
+//     then reclaims.
 //
 //kecss:arena
 type Arena struct {
@@ -41,11 +41,12 @@ type Arena struct {
 	queue     []int
 	owned     [][]int
 	busy      bool
+	pooled    bool
 }
 
-// NewLabelArena returns an empty arena. Buffers are allocated lazily, sized
-// by the largest graph labeled through it.
-func NewLabelArena() *Arena { return &Arena{} }
+// arenaPool holds the idle arenas. Only arenas it created go back to it:
+// pooled tells them apart from the one an in-package test pins.
+var arenaPool = sync.Pool{New: func() any { return &Arena{pooled: true} }}
 
 // growSlice returns buf resized to length n, reusing its backing array when
 // large enough. Contents are unspecified; attachScratch clears the tables
@@ -111,7 +112,7 @@ type Incremental struct {
 	nBad    int            // distinct labels with treeCnt>0 && nphi>1
 
 	onPath map[uint64]int64 // CoverCount scratch
-	arena  *Arena
+	arena  *Arena           // lends the tables above; nil once released
 
 	// hook observes label-state changes for the CoverIndex (nil otherwise).
 	// Suspended while rebuildCounts replays the active set, which instead
@@ -139,8 +140,14 @@ type labelHook interface {
 // solvers pass their 2-edge-connected base H): it roots a BFS tree of the
 // base at vertex 0, samples non-tree labels, and runs the distributed label
 // scan over the host network. bits must be in [1, 64]; rng drives all label
-// sampling (here and in AddEdges). ar may be nil for unpooled scratch.
-func NewIncremental(g *graph.Graph, base []int, bits int, rng *rand.Rand, ar *Arena, simOpts ...congest.Option) (*Incremental, error) {
+// sampling (here and in AddEdges). Release returns the engine's scratch.
+func NewIncremental(g *graph.Graph, base []int, bits int, rng *rand.Rand, simOpts ...congest.Option) (*Incremental, error) {
+	return newIncremental(g, base, bits, rng, nil, simOpts)
+}
+
+// newIncremental is NewIncremental borrowing its scratch from ar if ar is
+// idle, and from arenaPool otherwise; only the package tests pass an ar.
+func newIncremental(g *graph.Graph, base []int, bits int, rng *rand.Rand, ar *Arena, simOpts []congest.Option) (*Incremental, error) {
 	if bits < 1 || bits > 64 {
 		return nil, fmt.Errorf("cycles: bits must be in [1,64], got %d", bits)
 	}
@@ -152,8 +159,8 @@ func NewIncremental(g *graph.Graph, base []int, bits int, rng *rand.Rand, ar *Ar
 
 	tr, err := inc.baseTree(base)
 	if err != nil {
-		inc.Release()   // hand the arena back: a leaked busy flag would
-		return nil, err // silently disable pooling for the worker's lifetime
+		inc.Release() // hand the arena back to the pool
+		return nil, err
 	}
 	inc.Tree = tr
 	for v := 0; v < g.N(); v++ {
@@ -189,72 +196,62 @@ func NewIncremental(g *graph.Graph, base []int, bits int, rng *rand.Rand, ar *Ar
 	return inc, nil
 }
 
-// attachScratch points the engine's tables at arena-recycled or fresh
-// memory, cleared for a host with g.M() edges.
+// attachScratch borrows the engine's tables from ar, or from an arena of
+// arenaPool if ar is nil or busy, cleared for a host with g.M() edges.
 func (inc *Incremental) attachScratch(ar *Arena) {
+	if ar == nil || ar.busy {
+		ar = arenaPool.Get().(*Arena)
+	}
 	m := inc.G.M()
 	n := inc.G.N()
-	if ar != nil && !ar.busy {
-		ar.busy = true
-		inc.arena = ar
-		ar.phi = growSlice(ar.phi, m)
-		ar.active = growSlice(ar.active, m)
-		ar.isTree = growSlice(ar.isTree, m)
-		ar.deg = growSlice(ar.deg, n)
-		ar.adj = growSlice(ar.adj, n)
-		ar.queue = growSlice(ar.queue, n)
-		ar.owned = growSlice(ar.owned, n)
-		if ar.nphi == nil {
-			ar.nphi = make(map[uint64]int, 64)
-			ar.treeCnt = make(map[uint64]int, 64)
-			ar.onPath = make(map[uint64]int64, 16)
-		}
-		clear(ar.active)
-		clear(ar.isTree)
-		clear(ar.nphi)
-		clear(ar.treeCnt)
-		inc.phi, inc.active, inc.isTree = ar.phi, ar.active, ar.isTree
-		inc.activeIDs = ar.activeIDs[:0]
-		inc.nphi, inc.treeCnt, inc.onPath = ar.nphi, ar.treeCnt, ar.onPath
-		return
+	ar.busy = true
+	inc.arena = ar
+	ar.phi = growSlice(ar.phi, m)
+	ar.active = growSlice(ar.active, m)
+	ar.isTree = growSlice(ar.isTree, m)
+	ar.deg = growSlice(ar.deg, n)
+	ar.adj = growSlice(ar.adj, n)
+	ar.queue = growSlice(ar.queue, n)
+	ar.owned = growSlice(ar.owned, n)
+	if ar.nphi == nil {
+		ar.nphi = make(map[uint64]int, 64)
+		ar.treeCnt = make(map[uint64]int, 64)
+		ar.onPath = make(map[uint64]int64, 16)
 	}
-	inc.phi = make([]uint64, m)
-	inc.active = make([]bool, m)
-	inc.isTree = make([]bool, m)
-	inc.nphi = make(map[uint64]int, 64)
-	inc.treeCnt = make(map[uint64]int, 64)
-	inc.onPath = make(map[uint64]int64, 16)
+	clear(ar.active)
+	clear(ar.isTree)
+	clear(ar.nphi)
+	clear(ar.treeCnt)
+	inc.phi, inc.active, inc.isTree = ar.phi, ar.active, ar.isTree
+	inc.activeIDs = ar.activeIDs[:0]
+	inc.nphi, inc.treeCnt, inc.onPath = ar.nphi, ar.treeCnt, ar.onPath
 }
 
-// Release returns the engine's scratch to its arena (a no-op for unpooled
-// engines). The engine must not be used afterwards.
+// Release returns the engine's scratch to its arena, and the arena to
+// arenaPool if it came from there. The engine must not be used
+// afterwards. Idempotent.
 func (inc *Incremental) Release() {
-	if inc.arena == nil {
+	ar := inc.arena
+	if ar == nil {
 		return
 	}
-	inc.arena.activeIDs = inc.activeIDs[:0]
-	inc.arena.busy = false
+	ar.activeIDs = inc.activeIDs[:0]
+	ar.busy = false
 	inc.arena = nil
+	if ar.pooled {
+		arenaPool.Put(ar)
+	}
 }
 
 // baseTree roots a BFS tree of the base subgraph at vertex 0 without
-// materializing the subgraph: adjacency is carved from (arena) scratch, and
+// materializing the subgraph: adjacency is carved from arena scratch, and
 // only the parent arrays the tree retains are freshly allocated.
 func (inc *Incremental) baseTree(base []int) (*tree.Rooted, error) {
 	g := inc.G
 	n := g.N()
-	var deg, queue []int
-	var arcs []graph.Arc
-	var adj [][]graph.Arc
-	if inc.arena != nil {
-		inc.arena.arcs = growSlice(inc.arena.arcs, 2*len(base))
-		deg, queue, arcs, adj = inc.arena.deg, inc.arena.queue, inc.arena.arcs, inc.arena.adj
-	} else {
-		deg = make([]int, n)
-		queue = make([]int, n)
-		arcs = make([]graph.Arc, 2*len(base))
-		adj = make([][]graph.Arc, n)
-	}
+	ar := inc.arena
+	ar.arcs = growSlice(ar.arcs, 2*len(base))
+	deg, queue, arcs, adj := ar.deg, ar.queue, ar.arcs, ar.adj
 	for v := 0; v < n; v++ {
 		deg[v] = 0
 	}
@@ -304,14 +301,7 @@ func (inc *Incremental) baseTree(base []int) (*tree.Rooted, error) {
 // endpoint (the announcing owner of the distributed scan).
 func (inc *Incremental) ownedLists(ids []int) [][]int {
 	n := inc.G.N()
-	var deg []int
-	var owned [][]int
-	if inc.arena != nil {
-		deg, owned = inc.arena.deg, inc.arena.owned
-	} else {
-		deg = make([]int, n)
-		owned = make([][]int, n)
-	}
+	deg, owned := inc.arena.deg, inc.arena.owned
 	for v := 0; v < n; v++ {
 		deg[v] = 0
 	}

@@ -40,26 +40,21 @@ func spanning2EC(n, extra int, seed int64) (*graph.Graph, []int, []int) {
 
 func TestIncrementalValidation(t *testing.T) {
 	g, base, _ := spanning2EC(6, 2, 1)
-	if _, err := NewIncremental(g, base, 0, rand.New(rand.NewSource(1)), nil); err == nil {
+	if _, err := NewIncremental(g, base, 0, rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("expected error for bits=0")
 	}
-	if _, err := NewIncremental(g, base, 32, nil, nil); err == nil {
+	if _, err := NewIncremental(g, base, 32, nil); err == nil {
 		t.Fatal("expected error for nil rng")
 	}
-	// A non-spanning base (single edge) must be rejected — and must hand a
-	// borrowed arena back instead of leaking it busy for the worker's life.
-	ar := NewLabelArena()
-	if _, err := NewIncremental(g, base[:1], 32, rand.New(rand.NewSource(1)), ar); err == nil {
+	// A non-spanning base (single edge) must be rejected — and must hand
+	// its borrowed arena back instead of leaking it busy.
+	ar := new(Arena)
+	if _, err := newIncremental(g, base[:1], 32, rand.New(rand.NewSource(1)), ar, nil); err == nil {
 		t.Fatal("expected error for non-spanning base")
 	}
-	inc, err := NewIncremental(g, base, 32, rand.New(rand.NewSource(1)), ar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc.arena == nil {
+	if ar.busy {
 		t.Fatal("arena leaked busy by the failed construction")
 	}
-	inc.Release()
 }
 
 func TestIncrementalInitMatchesComputeLabels(t *testing.T) {
@@ -72,7 +67,7 @@ func TestIncrementalInitMatchesComputeLabels(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	inc, err := NewIncremental(g, all, 48, rand.New(rand.NewSource(7)), nil)
+	inc, err := NewIncremental(g, all, 48, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +94,7 @@ func TestIncrementalAddEdgesMatchesRelabelScan(t *testing.T) {
 	// bit-for-bit, and the rebuilt counts agree with the maintained ones.
 	for _, seed := range []int64{1, 2, 3} {
 		g, base, cands := spanning2EC(20, 30, seed)
-		inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(seed*100)), nil)
+		inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(seed*100)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +128,7 @@ func TestIncrementalCoverCountMatchesBruteForce(t *testing.T) {
 	// equals the number of cut pairs of H∪A it would cover.
 	rng := rand.New(rand.NewSource(9))
 	g, base, cands := spanning2EC(12, 10, 9)
-	inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(17)), nil)
+	inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(17)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +162,7 @@ func TestIncrementalPredicateAgainstOracle(t *testing.T) {
 	// collisions negligible at these sizes).
 	for _, seed := range []int64{4, 5} {
 		g, base, cands := spanning2EC(10, 25, seed)
-		inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(seed)), nil)
+		inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +186,7 @@ func TestIncrementalPredicateAgainstOracle(t *testing.T) {
 func TestIncrementalExecutorsAgree(t *testing.T) {
 	g, base, cands := spanning2EC(16, 20, 11)
 	run := func(opts ...congest.Option) map[int]uint64 {
-		inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(5)), nil, opts...)
+		inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(5)), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,37 +203,35 @@ func TestIncrementalExecutorsAgree(t *testing.T) {
 }
 
 func TestIncrementalArena(t *testing.T) {
-	ar := NewLabelArena()
+	ar := new(Arena)
 	g1, base1, cands1 := spanning2EC(14, 12, 21)
-	run := func(ar *Arena) map[int]uint64 {
-		inc, err := NewIncremental(g1, base1, 48, rand.New(rand.NewSource(6)), ar)
+	newInc := func(ar *Arena) *Incremental {
+		inc, err := newIncremental(g1, base1, 48, rand.New(rand.NewSource(6)), ar, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return inc
+	}
+	run := func(ar *Arena) map[int]uint64 {
+		inc := newInc(ar)
 		defer inc.Release()
 		inc.AddEdges(cands1)
 		return snapshotPhi(inc)
 	}
-	fresh := run(nil)
+	fresh := run(new(Arena))
 	pooled1 := run(ar)
 	pooled2 := run(ar) // recycled buffers must not leak state
 	for id, lab := range fresh {
 		if pooled1[id] != lab || pooled2[id] != lab {
-			t.Fatalf("edge %d: arena runs diverge from unpooled", id)
+			t.Fatalf("edge %d: arena runs diverge from a fresh arena", id)
 		}
 	}
-	// A busy arena is not handed out twice: the nested engine silently
-	// falls back to fresh allocation and still works.
-	inc1, err := NewIncremental(g1, base1, 48, rand.New(rand.NewSource(6)), ar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc2, err := NewIncremental(g1, base1, 48, rand.New(rand.NewSource(6)), ar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc2.arena != nil {
-		t.Fatal("nested engine borrowed a busy arena")
+	// A busy arena is not handed out twice: the nested engine takes a
+	// pooled arena and still works.
+	inc1 := newInc(ar)
+	inc2 := newInc(ar)
+	if inc2.arena == ar || !inc2.arena.pooled {
+		t.Fatal("nested engine did not take a pooled arena")
 	}
 	inc2.AddEdges(cands1)
 	inc1.AddEdges(cands1)
@@ -248,17 +241,16 @@ func TestIncrementalArena(t *testing.T) {
 		}
 	}
 	inc1.Release()
+	inc2.Release()
 	// After release the arena is free again.
-	if inc3, err := NewIncremental(g1, base1, 48, rand.New(rand.NewSource(6)), ar); err != nil {
-		t.Fatal(err)
-	} else if inc3.arena == nil {
+	if inc3 := newInc(ar); inc3.arena != ar {
 		t.Fatal("released arena was not reused")
 	}
 }
 
 func TestIncrementalAddEdgesPanicsOnDouble(t *testing.T) {
 	g, base, cands := spanning2EC(8, 4, 2)
-	inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(1)), nil)
+	inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}

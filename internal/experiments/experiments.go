@@ -10,7 +10,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mst"
 	"repro/internal/rounds"
-	"repro/internal/service"
 	"repro/internal/tap"
 	"repro/internal/tree"
 )
@@ -24,16 +23,6 @@ type Scale struct {
 	// trials (0 = GOMAXPROCS). Tables are identical at any worker count;
 	// only wall-clock changes.
 	Workers int
-}
-
-// threeOpts is the 3-ECSS option set every experiment trial uses: per-trial
-// seed and the worker's simulation and labeling arenas.
-func threeOpts(seed int64, w *service.Worker) core.ThreeECSSOptions {
-	return core.ThreeECSSOptions{
-		Rng:        rand.New(rand.NewSource(seed)),
-		Arena:      w.Arena,
-		LabelArena: w.Labels,
-	}
 }
 
 func log2(x float64) float64 { return math.Log2(x) }
@@ -97,7 +86,7 @@ func E1(s Scale) (*Table, error) {
 		}
 		cases = append(cases, inst{"ring+chords", g})
 	}
-	err := runTrials(s, t, len(cases), func(i int, _ *service.Worker) ([][]any, error) {
+	err := runTrials(s, t, len(cases), func(i int) ([][]any, error) {
 		tc := cases[i]
 		g := tc.g
 		res, err := core.Solve2ECSS(g, core.TwoECSSOptions{Rng: rand.New(rand.NewSource(42))})
@@ -141,7 +130,7 @@ func E2(s Scale) (*Table, error) {
 	if s.Quick {
 		large = []int{128}
 	}
-	err := runTrials(s, t, trials+len(large), func(i int, _ *service.Worker) ([][]any, error) {
+	err := runTrials(s, t, trials+len(large), func(i int) ([][]any, error) {
 		if i < trials {
 			trial := i
 			n := 8 + trial
@@ -193,7 +182,7 @@ func E3(s Scale) (*Table, error) {
 		sizes = []int{64, 128, 256}
 		reps = 3
 	}
-	err := runTrials(s, t, len(sizes), func(i int, _ *service.Worker) ([][]any, error) {
+	err := runTrials(s, t, len(sizes), func(i int) ([][]any, error) {
 		n := sizes[i]
 		g := randomWeighted(n, 2, 3*n, int64(n+13))
 		tr := mstTreeOf(g)
@@ -245,7 +234,7 @@ func E4(s Scale) (*Table, error) {
 	if s.Quick {
 		ringN = 200
 	}
-	err := runTrials(s, t, len(combos)+1, func(i int, _ *service.Worker) ([][]any, error) {
+	err := runTrials(s, t, len(combos)+1, func(i int) ([][]any, error) {
 		if i < len(combos) {
 			k, n := combos[i].k, combos[i].n
 			g := randomWeighted(n, k, 2*n, int64(k*1000+n))
@@ -305,7 +294,7 @@ func E5(s Scale) (*Table, error) {
 	if s.Quick {
 		ks = []int{2, 3}
 	}
-	err := runTrials(s, t, small+len(ks), func(i int, _ *service.Worker) ([][]any, error) {
+	err := runTrials(s, t, small+len(ks), func(i int) ([][]any, error) {
 		if i < small {
 			trial := i
 			g := randomWeighted(7, 2, 3, int64(trial+900))
@@ -354,7 +343,7 @@ func E6(s Scale) (*Table, error) {
 	if s.Quick {
 		sizes = []int{48, 96}
 	}
-	err := runTrials(s, t, len(sizes), func(i int, _ *service.Worker) ([][]any, error) {
+	err := runTrials(s, t, len(sizes), func(i int) ([][]any, error) {
 		n := sizes[i]
 		g := randomWeighted(n, 2, 2*n, int64(n+3))
 		treeIDs, _ := mst.Kruskal(g)

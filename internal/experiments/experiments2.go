@@ -13,7 +13,6 @@ import (
 	"repro/internal/mst"
 	"repro/internal/rounds"
 	"repro/internal/segments"
-	"repro/internal/service"
 	"repro/internal/tap"
 	"repro/internal/tree"
 )
@@ -48,10 +47,10 @@ func E7(s Scale) (*Table, error) {
 		rng := rand.New(rand.NewSource(int64(n)))
 		cases = append(cases, inst{"random", graph.RandomKConnected(n, 3, 2*n, rng, graph.UnitWeights())})
 	}
-	err := runTrials(s, t, len(cases), func(i int, w *service.Worker) ([][]any, error) {
+	err := runTrials(s, t, len(cases), func(i int) ([][]any, error) {
 		tc := cases[i]
 		g := tc.g
-		res, err := core.Solve3ECSSUnweighted(g, threeOpts(7, w))
+		res, err := core.Solve3ECSSUnweighted(g, core.ThreeECSSOptions{Rng: rand.New(rand.NewSource(7))})
 		if err != nil {
 			return nil, fmt.Errorf("E7 %s: %w", tc.family, err)
 		}
@@ -98,7 +97,7 @@ func E8(s Scale) (*Table, error) {
 		cases = append(cases, inst{"random64", graph.RandomKConnected(64, 2, 20, rng, graph.UnitWeights())})
 	}
 	widths := []int{1, 4, 16, 48}
-	err := runTrials(s, t, len(cases), func(i int, w *service.Worker) ([][]any, error) {
+	err := runTrials(s, t, len(cases), func(i int) ([][]any, error) {
 		tc := cases[i]
 		truth := pairSet(tc.g.CutPairs())
 		tr, err := tree.FromBFS(tc.g.BFS(0))
@@ -107,11 +106,7 @@ func E8(s Scale) (*Table, error) {
 		}
 		var rows [][]any
 		for _, b := range widths {
-			var opts []congest.Option
-			if w.Arena != nil {
-				opts = append(opts, congest.WithArena(w.Arena))
-			}
-			l, err := cycles.ComputeLabels(tc.g, tr, b, rand.New(rand.NewSource(5)), opts...)
+			l, err := cycles.ComputeLabels(tc.g, tr, b, rand.New(rand.NewSource(5)))
 			if err != nil {
 				return nil, fmt.Errorf("E8 %s b=%d: %w", tc.name, b, err)
 			}
@@ -162,7 +157,7 @@ func E9(s Scale) (*Table, error) {
 	if s.Quick {
 		sizes = []int{100, 400}
 	}
-	err := runTrials(s, t, len(sizes), func(i int, _ *service.Worker) ([][]any, error) {
+	err := runTrials(s, t, len(sizes), func(i int) ([][]any, error) {
 		n := sizes[i]
 		g := randomWeighted(n, 2, n, int64(n+1))
 		ids, _ := mst.Kruskal(g)
@@ -206,11 +201,11 @@ func E10(s Scale) (*Table, error) {
 		cases = append(cases, inst{graph.RandomKConnected(n, 3, 2*n, rng, graph.UnitWeights()), 3})
 	}
 	cases = append(cases, inst{graph.CliqueChain(12, 6, 3, graph.UnitWeights()), 3})
-	err := runTrials(s, t, len(cases), func(i int, w *service.Worker) ([][]any, error) {
+	err := runTrials(s, t, len(cases), func(i int) ([][]any, error) {
 		tc := cases[i]
 		g := tc.g
 		cert := baselines.ThurimellaCertificate(g, tc.k)
-		res, err := core.Solve3ECSSUnweighted(g, threeOpts(6, w))
+		res, err := core.Solve3ECSSUnweighted(g, core.ThreeECSSOptions{Rng: rand.New(rand.NewSource(6))})
 		if err != nil {
 			return nil, fmt.Errorf("E10: %w", err)
 		}
@@ -245,7 +240,7 @@ func AblationVoteThreshold(s Scale) (*Table, error) {
 	g := randomWeighted(n, 2, 3*n, 1234)
 	tr := mstTreeOf(g)
 	denoms := []int64{2, 4, 8, 16, 32}
-	err := runTrials(s, t, len(denoms), func(i int, _ *service.Worker) ([][]any, error) {
+	err := runTrials(s, t, len(denoms), func(i int) ([][]any, error) {
 		d := denoms[i]
 		res, err := tap.Augment(g, tr, tap.Options{Rng: rand.New(rand.NewSource(5)), VoteDenom: d})
 		if err != nil {
@@ -275,7 +270,7 @@ func AblationRounding(s Scale) (*Table, error) {
 	g := randomWeighted(n, 2, 3*n, 777)
 	tr := mstTreeOf(g)
 	modes := []bool{false, true}
-	err := runTrials(s, t, len(modes), func(i int, _ *service.Worker) ([][]any, error) {
+	err := runTrials(s, t, len(modes), func(i int) ([][]any, error) {
 		exact := modes[i]
 		res, err := tap.Augment(g, tr, tap.Options{Rng: rand.New(rand.NewSource(5)), DisableRounding: exact})
 		if err != nil {
@@ -308,7 +303,7 @@ func AblationPhaseLength(s Scale) (*Table, error) {
 	g := randomWeighted(n, 2, 2*n, 999)
 	treeIDs, _ := mst.Kruskal(g)
 	ms := []int{1, 2, 4}
-	err := runTrials(s, t, len(ms), func(i int, _ *service.Worker) ([][]any, error) {
+	err := runTrials(s, t, len(ms), func(i int) ([][]any, error) {
 		m := ms[i]
 		res, err := core.Aug(g, treeIDs, 2, core.AugOptions{Rng: rand.New(rand.NewSource(5)), PhaseLen: m})
 		if err != nil {
@@ -337,8 +332,6 @@ func AblationExecutor(s Scale) (*Table, error) {
 		n = 48
 	}
 	g := randomWeighted(n, 2, 2*n, 321)
-	// Each trial runs on a pool worker whose arena recycles the simulation
-	// buffers of whatever ran on that worker before it.
 	execs := []struct {
 		name string
 		exec congest.Executor
@@ -346,9 +339,9 @@ func AblationExecutor(s Scale) (*Table, error) {
 		{"sequential", congest.SequentialExecutor{}},
 		{"parallel", congest.ParallelExecutor{}},
 	}
-	err := runTrials(s, t, len(execs), func(i int, w *service.Worker) ([][]any, error) {
+	err := runTrials(s, t, len(execs), func(i int) ([][]any, error) {
 		tc := execs[i]
-		res, err := mst.DistributedBoruvka(g, congest.WithExecutor(tc.exec), congest.WithArena(w.Arena))
+		res, err := mst.DistributedBoruvka(g, congest.WithExecutor(tc.exec))
 		if err != nil {
 			return nil, fmt.Errorf("ablation executor: %w", err)
 		}

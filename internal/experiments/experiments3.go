@@ -5,12 +5,10 @@ import (
 	"math/rand"
 
 	"repro/internal/baselines"
-	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mst"
 	"repro/internal/segments"
-	"repro/internal/service"
 	"repro/internal/tapdist"
 	"repro/internal/tree"
 	"repro/internal/verify"
@@ -31,9 +29,7 @@ func E11(s Scale) (*Table, error) {
 	if s.Quick {
 		sizes = []int{100, 400}
 	}
-	// Each trial's four information-flow networks share the trial's worker
-	// arena, reusing the buffers of whatever that worker ran before.
-	err := runTrials(s, t, len(sizes), func(i int, w *service.Worker) ([][]any, error) {
+	err := runTrials(s, t, len(sizes), func(i int) ([][]any, error) {
 		n := sizes[i]
 		g := randomWeighted(n, 2, 2*n, int64(n+17))
 		ids, _ := mst.Kruskal(g)
@@ -47,7 +43,7 @@ func E11(s Scale) (*Table, error) {
 		for _, id := range tr.EdgeIDs() {
 			covered[id] = rng.Float64() < 0.5
 		}
-		res, err := tapdist.ComputeCe(g, dec, covered, nil, congest.WithArena(w.Arena))
+		res, err := tapdist.ComputeCe(g, dec, covered, nil)
 		if err != nil {
 			return nil, fmt.Errorf("E11 n=%d: %w", n, err)
 		}
@@ -111,17 +107,16 @@ func E12(s Scale) (*Table, error) {
 	}
 	// Per-case RNG (derived from the case index) instead of one stream
 	// threaded through the loop, so cases are independent trials; at 48-bit
-	// labels the verdicts are unaffected w.h.p. Verification networks use
-	// the trial's worker arena.
-	err := runTrials(s, t, len(cases), func(i int, w *service.Worker) ([][]any, error) {
+	// labels the verdicts are unaffected w.h.p.
+	err := runTrials(s, t, len(cases), func(i int) ([][]any, error) {
 		tc := cases[i]
 		rng := rand.New(rand.NewSource(int64(5 + i)))
 		d := tc.g.DiameterEstimate()
-		rep2, err := verify.TwoEdgeConnectivity(tc.g, 48, rng, congest.WithArena(w.Arena))
+		rep2, err := verify.TwoEdgeConnectivity(tc.g, 48, rng)
 		if err != nil {
 			return nil, fmt.Errorf("E12 %s: %w", tc.name, err)
 		}
-		rep3, err := verify.ThreeEdgeConnectivity(tc.g, 48, rng, congest.WithArena(w.Arena))
+		rep3, err := verify.ThreeEdgeConnectivity(tc.g, 48, rng)
 		if err != nil {
 			return nil, fmt.Errorf("E12 %s: %w", tc.name, err)
 		}
@@ -160,7 +155,7 @@ func E13(s Scale) (*Table, error) {
 	if s.Quick {
 		sizes = []int{30}
 	}
-	err := runTrials(s, t, len(sizes), func(i int, _ *service.Worker) ([][]any, error) {
+	err := runTrials(s, t, len(sizes), func(i int) ([][]any, error) {
 		n := sizes[i]
 		g := randomWeighted(n, 2, 2*n, int64(n+23))
 		res, err := mst.FaultTolerantMST(g)
@@ -210,15 +205,15 @@ func E14(s Scale) (*Table, error) {
 	if s.Quick {
 		sizes = []int{24}
 	}
-	err := runTrials(s, t, len(sizes), func(i int, w *service.Worker) ([][]any, error) {
+	err := runTrials(s, t, len(sizes), func(i int) ([][]any, error) {
 		n := sizes[i]
 		g := randomWeighted(n, 3, n, int64(n+29))
 		lb := baselines.DegreeLowerBound(g, 3)
-		wres, err := coreSolve3Weighted(g, 11, w, s)
+		wres, err := core.Solve3ECSSWeighted(g, core.ThreeECSSOptions{Rng: rand.New(rand.NewSource(11))})
 		if err != nil {
 			return nil, fmt.Errorf("E14 n=%d: %w", n, err)
 		}
-		ures, err := coreSolve3Unweighted(g, 11, w, s)
+		ures, err := core.Solve3ECSSUnweighted(g, core.ThreeECSSOptions{Rng: rand.New(rand.NewSource(11))})
 		if err != nil {
 			return nil, fmt.Errorf("E14 n=%d: %w", n, err)
 		}
@@ -232,12 +227,4 @@ func E14(s Scale) (*Table, error) {
 	}
 	t.Notes = append(t.Notes, "the weighted variant's ratio should not exceed the weight-blind one's")
 	return t, nil
-}
-
-func coreSolve3Weighted(g *graph.Graph, seed int64, w *service.Worker, s Scale) (*core.ThreeECSSResult, error) {
-	return core.Solve3ECSSWeighted(g, threeOpts(seed, w))
-}
-
-func coreSolve3Unweighted(g *graph.Graph, seed int64, w *service.Worker, s Scale) (*core.ThreeECSSResult, error) {
-	return core.Solve3ECSSUnweighted(g, threeOpts(seed, w))
 }

@@ -7,19 +7,17 @@ import "repro/internal/service"
 // order, so scheduling can never reorder or interleave a table. Each trial
 // derives all of its randomness from its index or from fixed seeds — never
 // from state shared between trials — which makes every table byte-identical
-// at any worker count. Trials that drive the simulator take their arena
-// from the worker, so consecutive trials on a worker recycle buffers
-// exactly like the old serial sweeps did.
+// at any worker count.
 //
 // The first trial error (in trial order, not completion order) aborts the
 // experiment, matching the old serial fail-fast behaviour deterministically.
-func runTrials(s Scale, t *Table, n int, trial func(i int, w *service.Worker) ([][]any, error)) error {
-	pool := service.NewPool(s.Workers, true)
+func runTrials(s Scale, t *Table, n int, trial func(i int) ([][]any, error)) error {
+	pool := service.NewPool(s.Workers)
 	defer pool.Close()
 	rows := make([][][]any, n)
 	errs := make([]error, n)
-	if err := pool.Run(n, func(i int, w *service.Worker) {
-		rows[i], errs[i] = trial(i, w)
+	if err := pool.Run(n, func(i int, _ *service.Worker) {
+		rows[i], errs[i] = trial(i)
 	}); err != nil {
 		return err // unreachable for this private pool, but keep the contract
 	}

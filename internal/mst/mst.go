@@ -15,7 +15,8 @@
 // ID, so per-fragment tables are slices indexed by vertex, per-edge tables
 // are slices indexed by edge ID, and each network's programs come from one
 // slice reused by every phase. All networks of one solve run over the same
-// graph through one arena, which builds the port topology once.
+// graph, so a goroutine that gets its arena back from the simulator's pool
+// builds the port topology once.
 //
 //kecss:deterministic
 package mst
@@ -156,13 +157,11 @@ type boruvkaState struct {
 func newBoruvkaState(g *graph.Graph, opts []congest.Option) *boruvkaState {
 	n, m := g.N(), g.M()
 	st := &boruvkaState{
-		g:          g,
-		fragID:     make([]int, n),
-		parent:     make([]int, n),
-		parentEdge: make([]int, n),
-		// Every phase builds several short-lived networks over g; by default
-		// one arena lets them all share buffers and the port topology.
-		opts:          congest.WithDefaultArena(opts),
+		g:             g,
+		fragID:        make([]int, n),
+		parent:        make([]int, n),
+		parentEdge:    make([]int, n),
+		opts:          opts,
 		heard:         make([]int, 2*m),
 		localBest:     make([]edgeKey, n),
 		children:      make([]int, n),

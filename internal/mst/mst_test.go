@@ -129,6 +129,26 @@ func TestDistributedBoruvkaParallelExecutor(t *testing.T) {
 	}
 }
 
+// TestDistributedBoruvkaRecyclesArenas pins that a warm call with no
+// options borrows every network's buffers from the simulator's pool: 52
+// allocations per call at n=32. A call that builds one fresh arena for its
+// networks costs 73, so the ceiling of 65 trips on it.
+func TestDistributedBoruvkaRecyclesArenas(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	rng := rand.New(rand.NewSource(1))
+	g := graph.RandomKConnected(32, 2, 64, rng, graph.RandomWeights(rng, 1000))
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := DistributedBoruvka(g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 65 {
+		t.Errorf("%.0f allocs per warm call, want at most 65", allocs)
+	}
+}
+
 func TestDistributedBoruvkaSingleVertex(t *testing.T) {
 	g := graph.New(1)
 	res, err := DistributedBoruvka(g)

@@ -1,6 +1,6 @@
 // Package service provides the persistent worker pool behind kecss.Pool and
-// the experiment sweeps: a fixed set of long-lived workers, each owning a
-// private congest.NetworkArena, executing index-addressed task batches.
+// the experiment sweeps: a fixed set of long-lived workers executing
+// index-addressed task batches.
 //
 // The pool's contract is built around determinism under arbitrary
 // scheduling: Run hands out task *indices* through a work-stealing cursor,
@@ -9,10 +9,9 @@
 // particular) from the index, never from the worker. A batch therefore
 // produces byte-identical results whether the pool has one worker or many.
 //
-// Arenas, by contrast, are deliberately per-worker: a worker runs its tasks
-// sequentially, so its arena is never borrowed by two live networks at once
-// (the ownership rule in congest.NetworkArena), while consecutive tasks on
-// the same worker recycle each other's simulation buffers.
+// Workers hold no solver scratch: the simulator and the labeling engine
+// recycle their buffers through their own package pools (congest and
+// cycles), so tasks need nothing from the worker that runs them.
 package service
 
 import (
@@ -21,9 +20,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/congest"
-	"repro/internal/cycles"
 )
 
 // ErrClosed is returned by Run on a pool whose Close has begun. Callers that
@@ -32,22 +28,12 @@ import (
 var ErrClosed = errors.New("service: pool is closed")
 
 // Worker is the per-goroutine state a task runs with. A worker executes one
-// task at a time, so a task may use every field without locking.
+// task at a time.
 type Worker struct {
 	// ID is the worker's index in 0..Size()-1. It identifies the goroutine,
 	// not the task: per-task state (RNGs especially) must be derived from
 	// the task index passed to Run, or results become schedule-dependent.
 	ID int
-	// Arena is the worker's private simulation arena, or nil for a pool
-	// built with arenas disabled. Tasks pass it to the congest layer
-	// (congest.WithArena) so consecutive tasks on this worker reuse each
-	// other's network buffers.
-	Arena *congest.NetworkArena
-	// Labels is the worker's private incremental-labeling arena (nil when
-	// arenas are disabled). Tasks pass it to the 3-ECSS solvers
-	// (core.ThreeECSSOptions.LabelArena) so consecutive solves on this
-	// worker recycle the labeling engine's per-edge tables and count maps.
-	Labels *cycles.Arena
 }
 
 // batch is one Run call: n tasks claimed through a shared cursor by every
@@ -87,19 +73,13 @@ type Pool struct {
 }
 
 // NewPool returns a running pool of n workers; n <= 0 means GOMAXPROCS.
-// arenas selects whether each worker owns a congest.NetworkArena (disable
-// only to measure the arenas' effect; results are identical either way).
-func NewPool(n int, arenas bool) *Pool {
+func NewPool(n int) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
 	p := &Pool{jobs: make(chan batch)}
 	for i := 0; i < n; i++ {
 		w := &Worker{ID: i}
-		if arenas {
-			w.Arena = congest.NewArena()
-			w.Labels = cycles.NewLabelArena()
-		}
 		p.workers = append(p.workers, w)
 		p.done.Add(1)
 		go p.loop(w)

@@ -7,21 +7,17 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/mst"
 )
 
 func TestPoolRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
-		p := NewPool(workers, false)
+		p := NewPool(workers)
 		const n = 100
 		counts := make([]int32, n)
 		var mu sync.Mutex
 		p.Run(n, func(i int, w *Worker) {
-			if w.Arena != nil {
-				t.Error("pool built without arenas handed out an arena")
-			}
 			mu.Lock()
 			counts[i]++
 			mu.Unlock()
@@ -35,49 +31,30 @@ func TestPoolRunsEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestPoolWorkersOwnDistinctArenas(t *testing.T) {
-	p := NewPool(4, true)
+func TestPoolWorkerIDsInRange(t *testing.T) {
+	p := NewPool(4)
 	defer p.Close()
 	if p.Size() != 4 {
 		t.Fatalf("Size = %d, want 4", p.Size())
 	}
-	seen := map[*congest.NetworkArena]int{}
-	var mu sync.Mutex
 	p.Run(64, func(i int, w *Worker) {
-		if w.Arena == nil {
-			t.Error("arena-enabled pool handed out a nil arena")
-			return
+		if w.ID < 0 || w.ID >= 4 {
+			t.Errorf("task %d ran on worker ID %d, want 0..3", i, w.ID)
 		}
-		mu.Lock()
-		seen[w.Arena] = w.ID
-		mu.Unlock()
 	})
-	for a, id := range seen {
-		_ = id
-		if a == nil {
-			t.Fatal("nil arena recorded")
-		}
-	}
-	if len(seen) > 4 {
-		t.Fatalf("more arenas (%d) than workers (4)", len(seen))
-	}
 }
 
 // The load-bearing property: per-index derivation makes batch output
 // independent of worker count and scheduling, including when tasks drive
-// real simulations through per-worker arenas.
+// real simulations that recycle the simulator's pooled arenas.
 func TestPoolResultsIndependentOfWorkerCount(t *testing.T) {
-	run := func(workers int, arenas bool) []int64 {
-		p := NewPool(workers, arenas)
+	run := func(workers int) []int64 {
+		p := NewPool(workers)
 		defer p.Close()
 		out := make([]int64, 12)
 		p.Run(len(out), func(i int, w *Worker) {
 			g := graph.Harary(3, 16+2*i, graph.UnitWeights())
-			var opts []congest.Option
-			if w.Arena != nil {
-				opts = append(opts, congest.WithArena(w.Arena))
-			}
-			res, err := mst.DistributedBoruvka(g, opts...)
+			res, err := mst.DistributedBoruvka(g)
 			if err != nil {
 				t.Error(err)
 				return
@@ -86,22 +63,19 @@ func TestPoolResultsIndependentOfWorkerCount(t *testing.T) {
 		})
 		return out
 	}
-	want := run(1, false)
+	want := run(1)
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0) + 2} {
-		for _, arenas := range []bool{false, true} {
-			got := run(workers, arenas)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d arenas=%v: task %d diverged: %d vs %d",
-						workers, arenas, i, got[i], want[i])
-				}
+		got := run(workers)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: task %d diverged: %d vs %d", workers, i, got[i], want[i])
 			}
 		}
 	}
 }
 
 func TestPoolConcurrentBatches(t *testing.T) {
-	p := NewPool(3, true)
+	p := NewPool(3)
 	defer p.Close()
 	var wg sync.WaitGroup
 	for b := 0; b < 4; b++ {
@@ -121,7 +95,7 @@ func TestPoolConcurrentBatches(t *testing.T) {
 }
 
 func TestPoolTaskPanicPropagates(t *testing.T) {
-	p := NewPool(2, false)
+	p := NewPool(2)
 	defer p.Close()
 	defer func() {
 		r := recover()
@@ -140,7 +114,7 @@ func TestPoolTaskPanicPropagates(t *testing.T) {
 }
 
 func TestPoolRunAfterCloseRejected(t *testing.T) {
-	p := NewPool(1, false)
+	p := NewPool(1)
 	p.Close()
 	p.Close() // idempotent
 	ran := false
@@ -156,7 +130,7 @@ func TestPoolRunAfterCloseRejected(t *testing.T) {
 // never a panic, never a partial batch. Exercised under -race in CI.
 func TestPoolCloseConcurrentWithRun(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
-		p := NewPool(2, false)
+		p := NewPool(2)
 		const n = 32
 		var wg sync.WaitGroup
 		for r := 0; r < 4; r++ {

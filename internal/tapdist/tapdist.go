@@ -63,8 +63,6 @@ type Result struct {
 // the measured cost. bfs is the global-communication BFS tree (built once
 // per run by the caller; pass nil to have one built and its rounds counted).
 func ComputeCe(g *graph.Graph, dec *segments.Decomposition, covered map[int]bool, bfs *tree.Rooted, opts ...congest.Option) (*Result, error) {
-	// The four phases run consecutive networks over g; share their buffers.
-	opts = congest.WithDefaultArena(opts)
 	res := &Result{Ce: make(map[int]int64)}
 	if bfs == nil {
 		built, m, err := primitives.BuildBFSTree(g, 0, opts...)

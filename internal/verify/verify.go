@@ -42,7 +42,6 @@ func Connectivity(g *graph.Graph, opts ...congest.Option) (*Report, error) {
 	if g.N() == 0 {
 		return &Report{OK: true}, nil
 	}
-	opts = congest.WithDefaultArena(opts)
 	leader, m1, err := primitives.ElectLeader(g, opts...)
 	if err != nil {
 		if !errors.Is(err, primitives.ErrNoGlobalLeader) {
@@ -86,12 +85,6 @@ func Connectivity(g *graph.Graph, opts ...congest.Option) (*Report, error) {
 // bridge. A "true" verdict is exact (bridges always label 0); a "false"
 // verdict is correct w.h.p. in bits. O(D) rounds.
 func TwoEdgeConnectivity(g *graph.Graph, bits int, rng *rand.Rand, opts ...congest.Option) (*Report, error) {
-	return twoEdgeConnectivity(g, bits, rng, congest.WithDefaultArena(opts))
-}
-
-// twoEdgeConnectivity is TwoEdgeConnectivity with the caller responsible for
-// arena wiring (ThreeEdgeConnectivity shares one arena across both checks).
-func twoEdgeConnectivity(g *graph.Graph, bits int, rng *rand.Rand, opts []congest.Option) (*Report, error) {
 	if g.N() < 2 {
 		return &Report{OK: true, Bits: bits}, nil
 	}
@@ -119,8 +112,7 @@ func twoEdgeConnectivity(g *graph.Graph, bits int, rng *rand.Rand, opts []conges
 // multiset to the root (O(D + #labels) rounds), mirroring §5.3's
 // implementation. Requires 2-edge-connectivity (checked first).
 func ThreeEdgeConnectivity(g *graph.Graph, bits int, rng *rand.Rand, opts ...congest.Option) (*Report, error) {
-	opts = congest.WithDefaultArena(opts)
-	two, err := twoEdgeConnectivity(g, bits, rng, opts)
+	two, err := TwoEdgeConnectivity(g, bits, rng, opts...)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,7 @@ import (
 
 // SolveSpec is every solver-visible knob of a solve request, excluding the
 // graph itself. Together with the graph it fully determines the result
-// bytes: executors, worker counts and arenas are deliberately absent because
+// bytes: executors and worker counts are deliberately absent because
 // they never change results (the PR-1/PR-2 determinism contract).
 //
 // The zero value of each optional field means "library default". The digest

@@ -26,23 +26,23 @@
 // The package-level solvers (Solve2ECSS, SolveKECSS, Solve3ECSSUnweighted,
 // Solve3ECSSWeighted, SolveTAP) are goroutine-safe with respect to each
 // other and to themselves: each call derives its own random stream from
-// WithSeed and touches no shared mutable state, so concurrent calls — even
-// on the same *Graph — are race-free. A *Graph itself is safe for
+// WithSeed, so concurrent calls — even on the same *Graph — are race-free.
+// The only state they share is scratch: the simulator's network buffers and
+// the labeling engine's tables come from package sync.Pools, and each call
+// holds what it takes until it hands it back. A *Graph itself is safe for
 // concurrent readers only; do not AddEdge while any solver is running on it.
 //
 // What is NOT goroutine-safe is sharing solver-internal state across calls
-// yourself: a *rand.Rand, a congest.NetworkArena, or a result struct being
-// mutated. The public API never hands these out for sharing — seeds go in,
-// results come out — so the only way to race is through the internal
-// packages.
+// yourself: a *rand.Rand or a result struct being mutated. The public API
+// never hands these out for sharing — seeds go in, results come out — so
+// the only way to race is through the internal packages.
 //
 // For solving many instances, Pool runs batches on a fixed set of workers,
-// each with its own recycled simulation arena and a per-task RNG derived as
-// baseSeed XOR taskIndex, making batch results byte-identical regardless of
-// worker count or scheduling. See NewPool, Pool.Sweep and the batch
-// helpers; examples/fleet is a worked example. Pool.Close is idempotent and
-// may race with sweeps: work submitted after Close begins reports
-// ErrPoolClosed instead of running.
+// each task with a per-task RNG derived as baseSeed XOR taskIndex, making
+// batch results byte-identical regardless of worker count or scheduling.
+// See NewPool, Pool.Sweep and the batch helpers; examples/fleet is a worked
+// example. Pool.Close is idempotent and may race with sweeps: work
+// submitted after Close begins reports ErrPoolClosed instead of running.
 //
 // # Serving
 //
@@ -61,7 +61,6 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/core"
-	"repro/internal/cycles"
 	"repro/internal/graph"
 	"repro/internal/tap"
 	"repro/internal/tree"
@@ -176,51 +175,33 @@ func buildConfig(opts []Option) config {
 
 func (c config) rng() *rand.Rand { return rand.New(rand.NewSource(c.seed)) }
 
-// solveEnv is the per-call execution state a solver run gets on top of its
-// config: its private random stream plus, for pool workers, the worker's
-// recycled arenas. It lives for exactly one solve call on the worker that
-// owns the arenas.
-//
-//kecss:arena-owner
-type solveEnv struct {
-	rng    *rand.Rand
-	arena  *congest.NetworkArena
-	labels *cycles.Arena
-}
-
-func (c config) serialEnv() solveEnv { return solveEnv{rng: c.rng()} }
-
-func (c config) twoOpts(env solveEnv) core.TwoECSSOptions {
+func (c config) twoOpts(rng *rand.Rand) core.TwoECSSOptions {
 	return core.TwoECSSOptions{
-		Rng:         env.rng,
+		Rng:         rng,
 		TAP:         tap.Options{VoteDenom: c.voteDenom},
 		SimulateMST: c.simulateMST,
 		Executor:    c.executor,
-		Arena:       env.arena,
 		Phase:       c.phase,
 	}
 }
 
-func (c config) kecssOpts(env solveEnv) core.KECSSOptions {
+func (c config) kecssOpts(rng *rand.Rand) core.KECSSOptions {
 	return core.KECSSOptions{
-		Rng:         env.rng,
+		Rng:         rng,
 		PhaseLen:    c.phaseLen,
 		SimulateMST: c.simulateMST,
 		Executor:    c.executor,
-		Arena:       env.arena,
 		Phase:       c.phase,
 	}
 }
 
-func (c config) threeOpts(env solveEnv) core.ThreeECSSOptions {
+func (c config) threeOpts(rng *rand.Rand) core.ThreeECSSOptions {
 	return core.ThreeECSSOptions{
-		Rng:        env.rng,
-		LabelBits:  c.labelBits,
-		PhaseLen:   c.phaseLen,
-		Executor:   c.executor,
-		Arena:      env.arena,
-		LabelArena: env.labels,
-		Phase:      c.phase,
+		Rng:       rng,
+		LabelBits: c.labelBits,
+		PhaseLen:  c.phaseLen,
+		Executor:  c.executor,
+		Phase:     c.phase,
 	}
 }
 
@@ -229,7 +210,7 @@ func (c config) threeOpts(env solveEnv) core.ThreeECSSOptions {
 // 2-edge-connected.
 func Solve2ECSS(g *Graph, opts ...Option) (*TwoECSSResult, error) {
 	c := buildConfig(opts)
-	return core.Solve2ECSS(g, c.twoOpts(c.serialEnv()))
+	return core.Solve2ECSS(g, c.twoOpts(c.rng()))
 }
 
 // SolveKECSS computes an O(k·log n)-expected-approximate minimum weight
@@ -237,7 +218,7 @@ func Solve2ECSS(g *Graph, opts ...Option) (*TwoECSSResult, error) {
 // k-edge-connected.
 func SolveKECSS(g *Graph, k int, opts ...Option) (*KECSSResult, error) {
 	c := buildConfig(opts)
-	return core.SolveKECSS(g, k, c.kecssOpts(c.serialEnv()))
+	return core.SolveKECSS(g, k, c.kecssOpts(c.rng()))
 }
 
 // Solve3ECSSUnweighted computes an O(log n)-expected-approximate minimum
@@ -245,7 +226,7 @@ func SolveKECSS(g *Graph, k int, opts ...Option) (*KECSSResult, error) {
 // weights. g must be 3-edge-connected.
 func Solve3ECSSUnweighted(g *Graph, opts ...Option) (*ThreeECSSResult, error) {
 	c := buildConfig(opts)
-	return core.Solve3ECSSUnweighted(g, c.threeOpts(c.serialEnv()))
+	return core.Solve3ECSSUnweighted(g, c.threeOpts(c.rng()))
 }
 
 // Solve3ECSSWeighted computes an O(log n)-expected-approximate minimum
@@ -255,7 +236,7 @@ func Solve3ECSSUnweighted(g *Graph, opts ...Option) (*ThreeECSSResult, error) {
 // spanning-tree height of the weighted base rather than D.
 func Solve3ECSSWeighted(g *Graph, opts ...Option) (*ThreeECSSResult, error) {
 	c := buildConfig(opts)
-	return core.Solve3ECSSWeighted(g, c.threeOpts(c.serialEnv()))
+	return core.Solve3ECSSWeighted(g, c.threeOpts(c.rng()))
 }
 
 // SolveTAP augments the spanning tree given by treeEdges (graph edge IDs)

@@ -2,6 +2,8 @@ package kecss
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -131,4 +133,48 @@ func TestVerifyKEdgeConnectedRejects(t *testing.T) {
 	if VerifyKEdgeConnected(g, []int{a, b}, 1) {
 		t.Fatal("a non-spanning subgraph should not verify")
 	}
+}
+
+// TestSolversConcurrentShareScratchPools runs the package-level solvers
+// from 8 goroutines at once, with no Pool: every call takes its network
+// buffers and labeling tables from the simulator's and the labeling
+// engine's package pools, so arenas pass between goroutines. Each result
+// must equal the serial one. Run with -race in CI.
+func TestSolversConcurrentShareScratchPools(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	g2 := graph.RandomKConnected(96, 2, 128, rng, graph.RandomWeights(rng, 100))
+	g3 := graph.RandomKConnected(48, 3, 48, rng, graph.UnitWeights())
+	solve := func(seed int64) (*TwoECSSResult, *ThreeECSSResult, error) {
+		two, err := Solve2ECSS(g2, WithSeed(seed), WithSimulatedMST())
+		if err != nil {
+			return nil, nil, err
+		}
+		three, err := Solve3ECSSUnweighted(g3, WithSeed(seed))
+		return two, three, err
+	}
+	const goroutines = 8
+	wantTwo := make([]*TwoECSSResult, goroutines)
+	wantThree := make([]*ThreeECSSResult, goroutines)
+	for i := range wantTwo {
+		var err error
+		if wantTwo[i], wantThree[i], err = solve(int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			two, three, err := solve(int64(i))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(two, wantTwo[i]) || !reflect.DeepEqual(three, wantThree[i]) {
+				t.Errorf("goroutine %d: concurrent result differs from the serial one", i)
+			}
+		}(i)
+	}
+	wg.Wait()
 }

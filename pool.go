@@ -102,16 +102,7 @@ type Result struct {
 type PoolOption func(*poolConfig)
 
 type poolConfig struct {
-	arenas   bool
 	defaults []Option
-}
-
-// WithoutArenas builds the pool's workers without recycled simulation
-// arenas, so every network allocates fresh buffers. Results are identical
-// either way; this exists to measure the arenas' effect and for the
-// determinism tests.
-func WithoutArenas() PoolOption {
-	return func(c *poolConfig) { c.arenas = false }
 }
 
 // WithPoolDefaults sets solver options applied to every task of every sweep
@@ -122,12 +113,10 @@ func WithPoolDefaults(opts ...Option) PoolOption {
 
 // Pool solves batches of instances on a fixed set of worker goroutines.
 //
-// Each worker owns a private simulation arena, recycled across the tasks it
-// runs; each task draws from its own RNG seeded with baseSeed XOR task
-// index. Together these make every batch API deterministic: the same tasks
-// produce byte-identical results whether the pool has 1 worker or
-// GOMAXPROCS, with arenas or without, and regardless of how the scheduler
-// interleaves the workers.
+// Each task draws from its own RNG seeded with baseSeed XOR task index,
+// which makes every batch API deterministic: the same tasks produce
+// byte-identical results whether the pool has 1 worker or GOMAXPROCS, and
+// regardless of how the scheduler interleaves the workers.
 //
 // A Pool is goroutine-safe: Sweep and the batch helpers may be called
 // concurrently from multiple goroutines, and Close may race with them —
@@ -141,12 +130,12 @@ type Pool struct {
 // NewPool starts a solver pool with the given number of workers (<= 0 means
 // GOMAXPROCS). Call Close when done.
 func NewPool(workers int, opts ...PoolOption) *Pool {
-	c := poolConfig{arenas: true}
+	var c poolConfig
 	for _, o := range opts {
 		o(&c)
 	}
 	return &Pool{
-		svc:      service.NewPool(workers, c.arenas),
+		svc:      service.NewPool(workers),
 		defaults: c.defaults,
 	}
 }
@@ -167,8 +156,8 @@ func (p *Pool) Close() { p.svc.Close() }
 // tasks.
 func (p *Pool) Sweep(tasks []Task) []Result {
 	results := make([]Result, len(tasks))
-	err := p.svc.Run(len(tasks), func(i int, w *service.Worker) {
-		results[i] = p.solveOne(i, tasks[i], w)
+	err := p.svc.Run(len(tasks), func(i int, _ *service.Worker) {
+		results[i] = p.solveOne(i, tasks[i])
 	})
 	if err != nil {
 		// The pool was closed before the sweep was admitted: nothing ran.
@@ -184,8 +173,8 @@ func (p *Pool) Sweep(tasks []Task) []Result {
 
 // solveOne runs one task on a worker. All state is derived from the task
 // index and the task itself, never from the worker, so results are
-// schedule-independent; the worker contributes only its recycled arena.
-func (p *Pool) solveOne(idx int, t Task, w *service.Worker) Result {
+// schedule-independent.
+func (p *Pool) solveOne(idx int, t Task) Result {
 	r := Result{Task: idx}
 	if t.Graph == nil {
 		r.Err = fmt.Errorf("kecss: task %d has a nil graph", idx)
@@ -195,37 +184,33 @@ func (p *Pool) solveOne(idx int, t Task, w *service.Worker) Result {
 	opts = append(opts, p.defaults...)
 	opts = append(opts, t.Opts...)
 	c := buildConfig(opts)
-	env := solveEnv{
-		// The task-index XOR keeps trials on a shared graph independent
-		// while index 0 with the default seed reproduces the serial API.
-		rng:    rand.New(rand.NewSource(c.seed ^ int64(idx))),
-		arena:  w.Arena,
-		labels: w.Labels,
-	}
+	// The task-index XOR keeps trials on a shared graph independent while
+	// index 0 with the default seed reproduces the serial API.
+	rng := rand.New(rand.NewSource(c.seed ^ int64(idx)))
 	switch t.Solver {
 	case Solver2ECSS:
-		res, err := core.Solve2ECSS(t.Graph, c.twoOpts(env))
+		res, err := core.Solve2ECSS(t.Graph, c.twoOpts(rng))
 		if err != nil {
 			r.Err = err
 			return r
 		}
 		r.Two, r.Edges, r.Weight, r.Rounds = res, res.Edges, res.Weight, res.Rounds
 	case SolverKECSS:
-		res, err := core.SolveKECSS(t.Graph, t.K, c.kecssOpts(env))
+		res, err := core.SolveKECSS(t.Graph, t.K, c.kecssOpts(rng))
 		if err != nil {
 			r.Err = err
 			return r
 		}
 		r.KECSS, r.Edges, r.Weight, r.Rounds = res, res.Edges, res.Weight, res.Rounds
 	case Solver3ECSSUnweighted:
-		res, err := core.Solve3ECSSUnweighted(t.Graph, c.threeOpts(env))
+		res, err := core.Solve3ECSSUnweighted(t.Graph, c.threeOpts(rng))
 		if err != nil {
 			r.Err = err
 			return r
 		}
 		r.Three, r.Edges, r.Weight, r.Rounds = res, res.Edges, res.Weight, res.Rounds
 	case Solver3ECSSWeighted:
-		res, err := core.Solve3ECSSWeighted(t.Graph, c.threeOpts(env))
+		res, err := core.Solve3ECSSWeighted(t.Graph, c.threeOpts(rng))
 		if err != nil {
 			r.Err = err
 			return r

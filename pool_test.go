@@ -57,8 +57,7 @@ func digest(results []Result) string {
 }
 
 // The headline determinism contract: Pool.Sweep produces byte-identical
-// Edges/Weight/Rounds for all solvers at workers=1 and workers=GOMAXPROCS,
-// with and without arenas.
+// Edges/Weight/Rounds for all solvers at workers=1 and workers=GOMAXPROCS.
 func TestPoolSweepDeterministic(t *testing.T) {
 	tasks := poolTestTasks()
 	ref := func() string {
@@ -73,18 +72,11 @@ func TestPoolSweepDeterministic(t *testing.T) {
 	}
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, workers := range workerCounts {
-		for _, arenas := range []bool{true, false} {
-			var popts []PoolOption
-			if !arenas {
-				popts = append(popts, WithoutArenas())
-			}
-			p := NewPool(workers, popts...)
-			got := digest(p.Sweep(tasks))
-			p.Close()
-			if got != ref {
-				t.Fatalf("workers=%d arenas=%v diverged from workers=1:\n--- got\n%s--- want\n%s",
-					workers, arenas, got, ref)
-			}
+		p := NewPool(workers)
+		got := digest(p.Sweep(tasks))
+		p.Close()
+		if got != ref {
+			t.Fatalf("workers=%d diverged from workers=1:\n--- got\n%s--- want\n%s", workers, got, ref)
 		}
 	}
 }
@@ -117,7 +109,7 @@ func TestPoolConcurrentSweepsIdentical(t *testing.T) {
 }
 
 // TestPool3ECSSLabelingDeterministic pins the incremental labeling engine
-// under the pool: a 3-ECSS sweep (both variants, per-worker label arenas)
+// under the pool: a 3-ECSS sweep (both variants, pooled label arenas)
 // is byte-identical at workers=1 vs 4 in edges, weights and iteration
 // counts. (internal/core checks the same solves against a from-scratch
 // reference.) Run with -race in CI.
